@@ -50,20 +50,6 @@ splitList(const std::string &csv)
     return out;
 }
 
-bool
-modeFromName(const std::string &name, SimMode &out)
-{
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (name == simModeName(mode)) {
-            out = mode;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** One key of the working set: the content key plus the single-job
  *  SIM spec that populates it on a read-through miss. */
 struct KeyPoint
@@ -166,31 +152,27 @@ main(int argc, char **argv)
     if (port > 65535)
         fatal("--port must be in [1, 65535]");
 
-    // The working set: expand the matrix workload-major (the
-    // daemon's order) and compute each job's content key locally.
+    // The working set: expand the matrix the daemon's way and
+    // compute each job's content key locally.
+    std::vector<WorkloadSpec> specs;
+    for (const std::string &wname : workloads)
+        specs.push_back(findWorkload(wname));
+    std::vector<SimMode> modeList;
+    for (const std::string &modeName : modes) {
+        SimMode mode;
+        if (!simModeFromName(modeName, mode))
+            fatal("unknown mode \"%s\"", modeName.c_str());
+        modeList.push_back(mode);
+    }
     std::vector<KeyPoint> points;
-    for (const std::string &wname : workloads) {
-        for (const std::string &mname : machines) {
-            if (mname != "server" && mname != "mobile")
-                fatal("unknown machine \"%s\"", mname.c_str());
-            for (const std::string &modeName : modes) {
-                SimMode mode;
-                if (!modeFromName(modeName, mode))
-                    fatal("unknown mode \"%s\"", modeName.c_str());
-                SimJob job;
-                job.workload = findWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
-                job.opts.mode = mode;
-                job.opts.maxInstructions = insns;
-                job.opts.timeoutCycles = timeoutCycles;
-                KeyPoint p;
-                p.key = campaignJobKey(job);
-                p.spec = formatSimSpec({wname}, {mname}, {modeName},
-                                       insns, timeoutCycles);
-                points.push_back(std::move(p));
-            }
-        }
+    for (const SimJob &job : expandCampaignMatrix(
+             specs, machines, modeList, insns, timeoutCycles)) {
+        KeyPoint p;
+        p.key = campaignJobKey(job);
+        p.spec = formatSimSpec({job.workload.name}, {job.machine.name},
+                               {simModeName(job.opts.mode)}, insns,
+                               timeoutCycles);
+        points.push_back(std::move(p));
     }
     panicIf(points.empty(), "empty key space");
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -189,6 +190,8 @@ loadJournal(const std::string &path)
     const bool ends_with_newline =
         !text.empty() && text.back() == '\n';
 
+    // Key -> index into replay.records: dedupe in O(1) per line.
+    std::unordered_map<std::uint64_t, std::size_t> slot;
     std::size_t start = 0;
     while (start < text.size()) {
         std::size_t end = text.find('\n', start);
@@ -216,11 +219,13 @@ loadJournal(const std::string &path)
             continue;
         }
 
-        const std::size_t existing = replay.find(rec.key);
-        if (existing != JournalReplay::npos) {
+        const auto [it, fresh] =
+            slot.emplace(rec.key, replay.records.size());
+        if (!fresh) {
             // Last write wins: a resumed campaign's rerun supersedes
-            // the earlier record for the same job.
-            replay.records[existing] = std::move(rec);
+            // the earlier record for the same job, in the slot of its
+            // first appearance.
+            replay.records[it->second] = std::move(rec);
             ++replay.duplicates;
         } else {
             replay.records.push_back(std::move(rec));

@@ -63,8 +63,11 @@ struct FlushHookRegistry
 FlushHookRegistry &
 flushHooks()
 {
-    static FlushHookRegistry r;
-    return r;
+    // Never destroyed: sinks with static storage (the global flight
+    // recorder) unregister from their own destructors during exit,
+    // which may run after a function-local static registry is gone.
+    static FlushHookRegistry *const r = new FlushHookRegistry;
+    return *r;
 }
 
 } // namespace

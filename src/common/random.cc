@@ -67,4 +67,19 @@ Rng::burstLength(double p, std::uint64_t max)
     return n;
 }
 
+double
+backoffSeconds(double baseSeconds, double maxSeconds, unsigned attempt,
+               double jitterFraction, std::uint64_t seed)
+{
+    if (attempt <= 1 || baseSeconds <= 0)
+        return 0;
+    double delay = baseSeconds;
+    for (unsigned a = 2; a < attempt && delay < maxSeconds; ++a)
+        delay *= 2;
+    if (delay > maxSeconds)
+        delay = maxSeconds;
+    Rng rng(seed);
+    return delay + delay * jitterFraction * rng.uniform();
+}
+
 } // namespace powerchop

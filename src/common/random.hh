@@ -119,6 +119,19 @@ class Rng
     std::array<std::uint64_t, 4> state_;
 };
 
+/**
+ * The capped-doubling backoff every retry loop shares (job retries,
+ * client redials, shard restarts): the delay before attempt `attempt`
+ * is baseSeconds * 2^(attempt-2), capped at maxSeconds, plus a jitter
+ * in [0, jitterFraction * delay) drawn from Rng(seed). Attempt 1 is
+ * the first try and waits 0, as does any baseSeconds <= 0. A pure
+ * function of its arguments, so schedules reproduce bit for bit;
+ * callers decorrelate by mixing their own identity into `seed`.
+ */
+double backoffSeconds(double baseSeconds, double maxSeconds,
+                      unsigned attempt, double jitterFraction = 0,
+                      std::uint64_t seed = 0);
+
 } // namespace powerchop
 
 #endif // POWERCHOP_COMMON_RANDOM_HH

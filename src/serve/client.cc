@@ -21,24 +21,13 @@ double
 clientRetryBackoffSeconds(const ClientRetryPolicy &policy,
                           unsigned attempt)
 {
-    if (attempt <= 1 || policy.backoffBaseSeconds <= 0)
-        return 0;
-    double delay = policy.backoffBaseSeconds;
-    for (unsigned a = 2;
-         a < attempt && delay < policy.backoffMaxSeconds; ++a) {
-        delay *= 2;
-    }
-    if (delay > policy.backoffMaxSeconds)
-        delay = policy.backoffMaxSeconds;
-    // Seeded jitter, a pure function of (seed, attempt): the same
-    // discipline as the runner's retryBackoffSeconds, so concurrent
-    // clients with distinct seeds decorrelate without wall-clock
-    // randomness.
-    Rng rng(policy.seed ^
-            (static_cast<std::uint64_t>(attempt) *
-             0x9e3779b97f4a7c15ull));
-    return delay +
-           delay * policy.backoffJitterFraction * rng.uniform();
+    // Jitter seeded by (seed, attempt): concurrent clients with
+    // distinct seeds decorrelate without wall-clock randomness.
+    return backoffSeconds(
+        policy.backoffBaseSeconds, policy.backoffMaxSeconds, attempt,
+        policy.backoffJitterFraction,
+        policy.seed ^
+            (static_cast<std::uint64_t>(attempt) * 0x9e3779b97f4a7c15ull));
 }
 
 ServeClient::~ServeClient()

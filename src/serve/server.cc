@@ -38,22 +38,6 @@ struct SimSpec
     double timeoutCycles = 0;
 };
 
-/** Non-fatal mode lookup (the CLI's parseMode fatal()s — a daemon
- *  must answer ERR, not die, on a bad request). */
-bool
-modeFromName(const std::string &name, SimMode &out)
-{
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (name == simModeName(mode)) {
-            out = mode;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Non-fatal workload-name check against the built-in suite table
  *  (file paths are deliberately not servable: the daemon's matrix
  *  vocabulary must be content-addressable by name alone). */
@@ -114,7 +98,7 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
     }
     for (const std::string &m : modeNames) {
         SimMode mode;
-        if (!modeFromName(m, mode)) {
+        if (!simModeFromName(m, mode)) {
             err = csprintf("unknown mode \"%s\"", m.c_str());
             return false;
         }
@@ -129,27 +113,16 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
     return true;
 }
 
-/** Expand a spec workload-major, exactly like the CLI's
- *  buildCampaignJobs: identical order, identical content keys. */
+/** Expand a spec exactly like the CLI's campaign matrix: identical
+ *  order, identical content keys. */
 std::vector<SimJob>
 buildSpecJobs(const SimSpec &spec)
 {
-    std::vector<SimJob> jobs;
-    for (const std::string &wname : spec.workloads) {
-        for (const std::string &mname : spec.machines) {
-            for (SimMode mode : spec.modes) {
-                SimJob job;
-                job.workload = findWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
-                job.opts.mode = mode;
-                job.opts.maxInstructions = spec.insns;
-                job.opts.timeoutCycles = spec.timeoutCycles;
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-    return jobs;
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &wname : spec.workloads)
+        workloads.push_back(findWorkload(wname));
+    return expandCampaignMatrix(workloads, spec.machines, spec.modes,
+                                spec.insns, spec.timeoutCycles);
 }
 
 /** Matrix-size ceiling: bounds one request's memory and runner time
@@ -698,8 +671,14 @@ SimServer::handleConnection(Conn *conn)
         if (draining_.load(std::memory_order_acquire))
             break; // finish the request in hand, then bow out
     }
-    ::close(conn->fd);
-    conn->fd = -1;
+    {
+        // Close and invalidate under connMutex_, which drain and reap
+        // hold while they shutdown() live fds: once closed, the fd
+        // number can be reused by the next accept().
+        std::lock_guard<std::mutex> lock(connMutex_);
+        ::close(conn->fd);
+        conn->fd = -1;
+    }
     conn->done.store(true, std::memory_order_release);
 }
 

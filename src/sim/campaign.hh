@@ -27,12 +27,16 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
 #include "common/journal.hh"
 #include "sim/sim_runner.hh"
+#include "sim/statusboard.hh"
 
 namespace powerchop
 {
@@ -47,12 +51,40 @@ namespace powerchop
  */
 std::uint64_t campaignJobKey(const SimJob &job);
 
-/** Campaign execution knobs. */
+/** Job index by content key. */
+using CampaignKeyIndex = std::unordered_map<std::uint64_t, std::size_t>;
+
+/**
+ * The content keys of `jobs`, in order. Two jobs with the same key
+ * describe the byte-identical job, so a duplicate is refused with
+ * fatal() rather than journaled ambiguously. When `index` is given it
+ * receives the key -> job index map.
+ */
+std::vector<std::uint64_t> campaignJobKeys(const std::vector<SimJob> &jobs,
+                                           CampaignKeyIndex *index = nullptr);
+
+/**
+ * The campaign matrix workloads x machines x modes, expanded
+ * workload-major: the one order the CLI, powerchopd and bench_serve
+ * share, so equal axes give equal job lists and content keys. Each
+ * caller resolves workload names its own way (the CLI accepts spec
+ * files). Machines are named "server" or "mobile"; any other name is
+ * fatal().
+ */
+std::vector<SimJob> expandCampaignMatrix(
+    const std::vector<WorkloadSpec> &workloads,
+    const std::vector<std::string> &machines,
+    const std::vector<SimMode> &modes, InsnCount insns,
+    double timeoutCycles);
+
+/** Campaign execution knobs and hooks (runCampaign(),
+ *  runJournaledBatch()). */
 struct CampaignOptions
 {
     /** Resume from an existing journal. Without this flag a campaign
      *  directory that already holds a journal is refused (fatal), so
-     *  accidental reuse cannot silently mix unrelated sweeps. */
+     *  accidental reuse cannot silently mix unrelated sweeps.
+     *  runCampaign() only: a batch always replays its journal. */
     bool resume = false;
 
     /** Per-job stuck-run watchdog in wall-clock seconds; 0 disables.
@@ -66,11 +98,6 @@ struct CampaignOptions
     /** Grace period for in-flight jobs after an interrupt. */
     double drainSeconds = 5.0;
 
-    /** Retry-backoff policy passed through to the robust batch. @{ */
-    double backoffBaseSeconds = 0.001;
-    double backoffMaxSeconds = 0.25;
-    /** @} */
-
     /** Interrupt flag the campaign polls; defaults to the process-
      *  wide flag raised by installCampaignSignalHandlers(). Tests
      *  point it at their own flag. */
@@ -83,11 +110,23 @@ struct CampaignOptions
     /** Publish live status snapshots to `dir`/status/campaign.json
      *  (statusboard.hh) while the campaign runs. Write-only side
      *  channel: report.json and the journal are byte-identical with
-     *  it on or off. */
+     *  it on or off. runCampaign() only. */
     bool publishStatus = false;
 
-    /** Cadence floor of status publishing, seconds. */
-    double statusIntervalSeconds = 0.25;
+    /** Invoked on the worker thread immediately BEFORE a terminal
+     *  record is appended to the journal. The crash-injection hook
+     *  of the shard containment tests lives here: a crash at this
+     *  point is the worst case, after the work but before
+     *  durability, so the job must rerun after a restart. */
+    std::function<void(std::uint64_t key, const JobOutcome &)>
+        preJournal;
+
+    /** Invoked once per job as it settles: after its terminal record
+     *  is durable (or, for a resumable outcome, in place of one), and
+     *  for each job an ok journal record satisfies during replay
+     *  (attempts 0). The campaign-worker's protocol emission. Must be
+     *  thread-safe. */
+    std::function<void(std::uint64_t key, const JobOutcome &)> onJobDone;
 };
 
 /**
@@ -158,10 +197,10 @@ struct CampaignResult
 /**
  * Run (or resume) a campaign.
  *
- * Creates `dir` if needed, replays `dir`/journal.jsonl when resuming,
- * dispatches the remaining jobs on `runner` with write-ahead
- * journaling, and atomically rewrites `dir`/report.json from the
- * merged results.
+ * Creates `dir` if needed, runs runJournaledBatch() against
+ * `dir`/journal.jsonl (refusing a journal without opts.resume and a
+ * resume without a journal), and atomically rewrites
+ * `dir`/report.json from the merged results.
  *
  * @param runner Worker pool to dispatch on.
  * @param jobs   The full campaign matrix, in canonical order.
@@ -174,80 +213,84 @@ CampaignResult runCampaign(SimJobRunner &runner,
                            const std::string &dir,
                            const CampaignOptions &opts = {});
 
-/** Knobs of one shard worker's run (campaign-worker subcommand). */
-struct ShardRunOptions
+/**
+ * Live status of one journaled batch, published to a statusboard
+ * file (statusboard.hh): done/ok/failed/retried tallies, in-flight
+ * keys, MIPS, ETA, job and journal-fsync latency and the stage table.
+ * Refreshed on every job start and finish, and by a 100ms heartbeat
+ * thread so one long job cannot leave the snapshot stale.
+ * runCampaign() publishes its "campaign" snapshot through one; each
+ * campaign-worker process publishes its "shard-worker" snapshot
+ * through another. Write-only side channel: nothing read here feeds
+ * back into the journal or the report.
+ */
+class CampaignStatus
 {
-    /** Per-job stuck-run watchdog; 0 disables. */
-    double timeoutSeconds = 0;
+  public:
+    /** @param runner The runner whose job latency is reported; must
+     *                outlive this tracker. */
+    CampaignStatus(std::string path, std::string role,
+                   std::string label, const SimJobRunner &runner);
+    ~CampaignStatus();
 
-    /** Extra attempts for jobs flagged transient. */
-    unsigned maxRetries = 0;
+    CampaignStatus(const CampaignStatus &) = delete;
+    CampaignStatus &operator=(const CampaignStatus &) = delete;
 
-    /** Grace period for in-flight jobs after an interrupt. */
-    double drainSeconds = 5.0;
-
-    /** Retry-backoff policy (see RobustRunOptions). @{ */
-    double backoffBaseSeconds = 0.001;
-    double backoffMaxSeconds = 0.25;
+    /** Batch events (runJournaledBatch()). begin() also starts the
+     *  heartbeat thread. Thread-safe. @{ */
+    void begin(std::size_t jobs, std::size_t replayed);
+    void jobStarted(std::uint64_t key);
+    void jobFinished(std::uint64_t key, const JobOutcome &outcome);
     /** @} */
 
-    /** Interrupt flag the shard polls (SIGTERM from the supervisor
-     *  requests a graceful drain). */
-    const std::atomic<bool> *interruptFlag = nullptr;
+    /** Stop the heartbeat and publish the terminal snapshot, forced
+     *  past the cadence gate: a reader of a finished batch sees its
+     *  final tallies. */
+    void finish();
 
-    /** Invoked on the worker thread immediately BEFORE a terminal
-     *  record is appended to the shard journal. The crash-injection
-     *  hook of the containment tests lives here: a crash at this
-     *  point is the worst case, after the work but before
-     *  durability, so the job must rerun after a restart. */
-    std::function<void(std::uint64_t key, const JobOutcome &)>
-        preJournal;
+    /** Journal fsync latency sink (nanoseconds). */
+    stats::Log2Histogram *fsyncLatencyNs() { return &fsyncLatencyNs_; }
 
-    /** Invoked after a job's terminal record is durable (or, for
-     *  replayed jobs, during journal replay): the worker's protocol
-     *  emission. Must be thread-safe. */
-    std::function<void(std::uint64_t key, const JobOutcome &,
-                       bool replayed)>
-        onJobDone;
+  private:
+    StatusSnapshot snapshot(bool finished);
+    void stopHeartbeat();
 
-    /** Invoked on the worker thread as a job begins executing (the
-     *  shard worker's statusboard tracks in-flight keys through
-     *  this). Must be thread-safe. */
-    std::function<void(std::uint64_t key)> onJobStart;
-
-    /** When non-null, the shard journal's per-append fsync latency
-     *  is sampled here (nanoseconds), for the worker statusboard.
-     *  Must outlive the run. */
-    stats::Log2Histogram *fsyncLatencyNs = nullptr;
-};
-
-/** What one shard worker invocation accomplished. */
-struct ShardRunResult
-{
-    std::size_t assigned = 0; ///< Jobs this shard owns.
-    std::size_t replayed = 0; ///< Satisfied from the shard journal.
-    std::size_t executed = 0; ///< Dispatched this invocation.
-    bool interrupted = false;
-
-    /** Every assigned job holds a terminal (ok / failed / timed-out)
-     *  record in the shard journal; the worker exits 0. */
-    bool complete = false;
+    StatusPublisher publisher_;
+    const std::string role_, label_;
+    const SimJobRunner &runner_;
+    const double start_;
+    const InsnCount tallyStart_;
+    std::size_t total_ = 0, replayed_ = 0;
+    std::atomic<std::size_t> done_{0}, ok_{0}, failed_{0}, retried_{0};
+    std::mutex inflightMutex_;
+    std::vector<std::uint64_t> inflight_;
+    stats::Log2Histogram fsyncLatencyNs_;
+    std::atomic<bool> stop_{false};
+    std::thread heartbeat_;
 };
 
 /**
- * Run one shard of a campaign: the given jobs against a
- * shard-scoped write-ahead journal.
+ * The write-ahead batch loop every campaign runs through: the
+ * in-process runCampaign() and each campaign-worker process.
  *
- * Semantically runCampaign() minus the report: resumes from
- * `journalPath` (ok records satisfy jobs, failed/timed-out records
- * rerun), dispatches the remainder with write-ahead journaling, and
- * reports whether every assigned job reached a terminal record. The
- * supervisor merges shard journals into the campaign report.
+ * Derives the jobs' content keys (campaignJobKeys()), replays
+ * `journalPath` when it exists — an ok record satisfies its job,
+ * failed and timed-out records rerun, records matching no job count
+ * as stale — and runs the rest on `runner`. Each terminal outcome is
+ * appended and fsync'd before the job counts as done; resumable
+ * outcomes (skipped, interrupted) journal nothing and rerun next
+ * time. The journal file is created before the first job runs, and
+ * only when a job is pending.
+ *
+ * @param status Live status tracker, or nullptr for none.
+ * @return per-job keys, outcomes and payloads in `jobs` order, plus
+ *         the replay tallies; the caller renders any report.
  */
-ShardRunResult runCampaignShard(SimJobRunner &runner,
-                                const std::vector<SimJob> &jobs,
-                                const std::string &journalPath,
-                                const ShardRunOptions &opts = {});
+CampaignResult runJournaledBatch(SimJobRunner &runner,
+                                 const std::vector<SimJob> &jobs,
+                                 const std::string &journalPath,
+                                 const CampaignOptions &opts,
+                                 CampaignStatus *status = nullptr);
 
 /** Create `dir` (and parents), tolerating existing directories;
  *  throws IoError on failure. Shared by campaign and supervisor. */

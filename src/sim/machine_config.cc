@@ -328,4 +328,14 @@ mobileConfig()
     return m;
 }
 
+MachineConfig
+machineConfigByName(const std::string &name)
+{
+    if (name == "server")
+        return serverConfig();
+    if (name == "mobile")
+        return mobileConfig();
+    fatal("unknown machine '%s' (want server|mobile)", name.c_str());
+}
+
 } // namespace powerchop

@@ -83,6 +83,10 @@ MachineConfig serverConfig();
  */
 MachineConfig mobileConfig();
 
+/** serverConfig() or mobileConfig() by name ("server" / "mobile");
+ *  fatal() names any other machine. */
+MachineConfig machineConfigByName(const std::string &name);
+
 } // namespace powerchop
 
 #endif // POWERCHOP_SIM_MACHINE_CONFIG_HH

@@ -19,6 +19,7 @@
 #include "common/flight_recorder.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "common/subprocess.hh"
 #include "sim/statusboard.hh"
 
@@ -28,19 +29,14 @@ namespace powerchop
 namespace
 {
 
-/** Inverse of jobStatusName() for journal records. */
+/** Parse a journal or protocol status name that settles a job for
+ *  good: ok, failed or timed-out (never the resumable ones). */
 bool
-jobStatusFromName(const std::string &name, JobStatus &out)
+terminalStatus(const std::string &name, JobStatus &out)
 {
-    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
-                        JobStatus::TimedOut, JobStatus::Skipped,
-                        JobStatus::Interrupted}) {
-        if (name == jobStatusName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
+    return jobStatusFromName(name, out) &&
+           (out == JobStatus::Ok || out == JobStatus::Failed ||
+            out == JobStatus::TimedOut);
 }
 
 std::string
@@ -78,19 +74,6 @@ listShardJournals(const std::string &dir)
     }
     std::sort(out.begin(), out.end());
     return out;
-}
-
-/** Bounded exponential restart backoff (monotonic seconds). */
-double
-restartBackoff(const ShardSupervisorOptions &opts, unsigned restarts)
-{
-    double delay = opts.restartBackoffBaseSeconds;
-    for (unsigned i = 1; i < restarts &&
-                         delay < opts.restartBackoffMaxSeconds;
-         ++i) {
-        delay *= 2;
-    }
-    return std::min(delay, opts.restartBackoffMaxSeconds);
 }
 
 /** One live (or draining) worker process and its line buffer. */
@@ -145,6 +128,15 @@ partitionByKeyRange(const std::vector<std::uint64_t> &keys,
     return parts;
 }
 
+double
+restartBackoffSeconds(const ShardSupervisorOptions &opts,
+                      unsigned restarts)
+{
+    // Restart n waits like retry attempt n + 1, without jitter.
+    return backoffSeconds(opts.restartBackoffBaseSeconds,
+                          opts.restartBackoffMaxSeconds, restarts + 1);
+}
+
 std::string
 shardJournalPath(const std::string &dir, unsigned shard,
                  unsigned helper)
@@ -186,22 +178,9 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
               dir.c_str());
     }
 
-    // Content keys (with the same duplicate refusal as runCampaign)
-    // and the deterministic key-range partition.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::uint64_t key = campaignJobKey(jobs[i]);
-        for (std::size_t j = 0; j < keys.size(); ++j) {
-            if (keys[j] == key) {
-                fatal("campaign: jobs %zu and %zu have identical "
-                      "content keys (duplicate matrix entry?)",
-                      j, i);
-            }
-        }
-        keys.push_back(key);
-    }
-
+    // Content keys (refusing duplicates, like runCampaign) and the
+    // deterministic key-range partition.
+    const std::vector<std::uint64_t> keys = campaignJobKeys(jobs);
     const auto parts = partitionByKeyRange(keys, opts.shards);
     const unsigned shards = static_cast<unsigned>(parts.size());
     result.shards = shards;
@@ -229,12 +208,8 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             const JournalReplay replay = loadJournalIfPresent(path);
             for (const auto &rec : replay.records) {
                 JobStatus st;
-                if (jobStatusFromName(rec.status, st) &&
-                    (st == JobStatus::Ok ||
-                     st == JobStatus::Failed ||
-                     st == JobStatus::TimedOut)) {
+                if (terminalStatus(rec.status, st))
                     shard[s].terminal.insert(rec.key);
-                }
             }
         }
     };
@@ -429,16 +404,12 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
                         const std::string status =
                             line.substr(5 + 17);
                         JobStatus st_val;
-                        if (jobStatusFromName(status, st_val) &&
-                            (st_val == JobStatus::Ok ||
-                             st_val == JobStatus::Failed ||
-                             st_val == JobStatus::TimedOut)) {
-                            if (st.terminal.insert(key).second) {
-                                if (st_val == JobStatus::Ok)
-                                    ++ok_seen;
-                                else
-                                    ++failed_seen;
-                            }
+                        if (terminalStatus(status, st_val) &&
+                            st.terminal.insert(key).second) {
+                            if (st_val == JobStatus::Ok)
+                                ++ok_seen;
+                            else
+                                ++failed_seen;
                         }
                     }
                     // "ready"/"hb" lines only carry liveness.
@@ -537,7 +508,8 @@ runShardedCampaign(const std::vector<SimJob> &jobs,
             }
             ++st.restarts;
             st.restartPending = true;
-            const double backoff = restartBackoff(opts, st.restarts);
+            const double backoff =
+                restartBackoffSeconds(opts, st.restarts);
             restart_backoff_ns.sample(
                 static_cast<std::uint64_t>(backoff * 1e9));
             st.nextSpawnAt = now + backoff;

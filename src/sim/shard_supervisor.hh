@@ -155,6 +155,11 @@ std::vector<std::vector<std::size_t>>
 partitionByKeyRange(const std::vector<std::uint64_t> &keys,
                     unsigned shards);
 
+/** The delay before restart `restarts` (>= 1) of a crashed shard:
+ *  base * 2^(restarts-1), capped, no jitter (backoffSeconds()). */
+double restartBackoffSeconds(const ShardSupervisorOptions &opts,
+                             unsigned restarts);
+
 /** Journal path of shard `shard` in `dir`; helper > 0 names the
  *  journal of that re-dispatch helper instead. */
 std::string shardJournalPath(const std::string &dir, unsigned shard,

@@ -34,6 +34,11 @@ enum class SimMode : std::uint8_t
 /** @return a display name for a mode. */
 const char *simModeName(SimMode m);
 
+/** Inverse of simModeName() over the campaign modes (every mode but
+ *  StaticPolicy, which needs a policy no name carries).
+ *  @return false for any other name. */
+bool simModeFromName(const std::string &name, SimMode &out);
+
 /** Everything measured in one run. */
 struct SimResult
 {

@@ -67,26 +67,32 @@ jobStatusName(JobStatus s)
     panic("unknown JobStatus %d", static_cast<int>(s));
 }
 
+bool
+jobStatusFromName(const std::string &name, JobStatus &out)
+{
+    for (JobStatus s : {JobStatus::Ok, JobStatus::Failed,
+                        JobStatus::TimedOut, JobStatus::Skipped,
+                        JobStatus::Interrupted}) {
+        if (name == jobStatusName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 double
 retryBackoffSeconds(const RobustRunOptions &opts,
                     std::size_t jobIndex, unsigned attempt)
 {
-    if (attempt <= 1 || opts.backoffBaseSeconds <= 0)
-        return 0;
-    // Bounded exponential growth...
-    double delay = opts.backoffBaseSeconds;
-    for (unsigned a = 2; a < attempt && delay < opts.backoffMaxSeconds;
-         ++a) {
-        delay *= 2;
-    }
-    if (delay > opts.backoffMaxSeconds)
-        delay = opts.backoffMaxSeconds;
-    // ...plus seeded jitter: a pure function of (seed, job, attempt),
-    // so totals reproduce exactly across runs and worker counts.
-    Rng rng(opts.backoffSeed ^
+    // Jitter seeded by (seed, job, attempt): totals reproduce exactly
+    // across runs and worker counts.
+    return backoffSeconds(
+        opts.backoffBaseSeconds, opts.backoffMaxSeconds, attempt,
+        opts.backoffJitterFraction,
+        opts.backoffSeed ^
             (static_cast<std::uint64_t>(jobIndex) * 0x9e3779b97f4a7c15ull +
              attempt));
-    return delay + delay * opts.backoffJitterFraction * rng.uniform();
 }
 
 std::size_t

@@ -72,17 +72,6 @@ DifferentialReport::toString() const
 namespace
 {
 
-MachineConfig
-machineByName(const std::string &name)
-{
-    if (name == "server")
-        return serverConfig();
-    if (name == "mobile")
-        return mobileConfig();
-    fatal("differential: unknown machine '%s' (want server|mobile)",
-          name.c_str());
-}
-
 /** The default fault mix a non-zero seed enables: every fault class
  *  at a rate that fires tens of times in a 200k-instruction run. */
 void
@@ -105,7 +94,7 @@ runDifferentialCase(const DifferentialCase &diffCase, InsnCount insns)
     DifferentialOutcome out;
     out.diffCase = diffCase;
 
-    MachineConfig machine = machineByName(diffCase.machine);
+    MachineConfig machine = machineConfigByName(diffCase.machine);
     if (diffCase.faultSeed)
         enableFaults(machine, diffCase.faultSeed);
     WorkloadSpec workload = findWorkload(diffCase.workload);

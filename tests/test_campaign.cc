@@ -18,7 +18,9 @@
 #include "common/atomic_file.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
+#include "serve/client.hh"
 #include "sim/campaign.hh"
+#include "sim/shard_supervisor.hh"
 #include "sim/sim_runner.hh"
 #include "workload/suites.hh"
 
@@ -320,6 +322,73 @@ TEST(Backoff, ZeroBaseDisablesWaiting)
         EXPECT_EQ(retryBackoffSeconds(opts, 0, attempt), 0.0);
 }
 
+TEST(Backoff, ThreeSchedulesPinnedBitExact)
+{
+    // The runner's job retries, the client's redials and the shard
+    // supervisor's restarts share backoffSeconds() but mix their own
+    // seeds. Expected values were produced by the three independent
+    // implementations this table replaced; every schedule must stay
+    // bit-identical. Runner rows use job index 3; the supervisor's
+    // restart n is pinned against attempt n + 1 (no jitter).
+    struct Row
+    {
+        double base, max;
+        unsigned attempt;
+        std::uint64_t seed;
+        double runner, client, supervisor;
+    };
+    const Row rows[] = {
+        {0.001, 0.25, 1, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+        {0.001, 0.25, 2, 0, 0x1.3759d68a23bb3p-10,
+         0x1.1881bdf6b6a2ap-10, 0x1.0624dd2f1a9fcp-10},
+        {0.001, 0.25, 5, 0, 0x1.30c31abcb3e6ep-7, 0x1.25879b1253316p-7,
+         0x1.0624dd2f1a9fcp-7},
+        {0.001, 0.25, 12, 7, 0x1.1edad1bf4b6f9p-2, 0x1.0ef1f6d31a208p-2,
+         0x1p-2},
+        {0.010, 0.080, 3, 42, 0x1.4e2667d37df99p-6, 0x1.69ae84b94f55fp-6,
+         0x1.47ae147ae147bp-6},
+        {0.010, 0.080, 6, 42, 0x1.5146163f9025p-4, 0x1.70089d538b038p-4,
+         0x1.47ae147ae147bp-4},
+        {0.05, 1.0, 2, 99, 0x1.eb0b204cfc46ep-5, 0x1.decca00fab4b4p-5,
+         0x1.999999999999ap-5},
+        {0.05, 1.0, 4, 99, 0x1.ba261d98052dcp-3, 0x1.afa9d84913394p-3,
+         0x1.999999999999ap-3},
+        {0.05, 0.4, 9, 3, 0x1.ca2d8deee7615p-2, 0x1.f18cfbd8d5974p-2,
+         0x1.999999999999ap-2},
+        {0.1, 2.0, 1, 0, 0x0p+0, 0x0p+0, 0x0p+0},
+        {0.1, 2.0, 3, 0, 0x1.e02e4f53a7998p-3, 0x1.d2a189abb8e64p-3,
+         0x1.999999999999ap-3},
+        {0.1, 2.0, 7, 0, 0x1.042e2014e97e7p+1, 0x1.0ac62b720dac8p+1,
+         0x1p+1},
+        {0, 1.0, 4, 5, 0x0p+0, 0x0p+0, 0x0p+0},
+    };
+    for (const Row &r : rows) {
+        RobustRunOptions runner;
+        runner.backoffBaseSeconds = r.base;
+        runner.backoffMaxSeconds = r.max;
+        runner.backoffSeed = r.seed;
+        EXPECT_EQ(retryBackoffSeconds(runner, 3, r.attempt), r.runner)
+            << r.base << " " << r.attempt;
+
+        ClientRetryPolicy client;
+        client.backoffBaseSeconds = r.base;
+        client.backoffMaxSeconds = r.max;
+        client.seed = r.seed;
+        EXPECT_EQ(clientRetryBackoffSeconds(client, r.attempt),
+                  r.client)
+            << r.base << " " << r.attempt;
+
+        if (r.attempt >= 2) {
+            ShardSupervisorOptions sup;
+            sup.restartBackoffBaseSeconds = r.base;
+            sup.restartBackoffMaxSeconds = r.max;
+            EXPECT_EQ(restartBackoffSeconds(sup, r.attempt - 1),
+                      r.supervisor)
+                << r.base << " " << r.attempt;
+        }
+    }
+}
+
 TEST(Backoff, RecordedInOutcomesAndReport)
 {
     // A job that always fails validation, flagged transient so it
@@ -412,6 +481,56 @@ TEST(CampaignKey, StableForIdenticalJobsSensitiveToEveryKnob)
     SimJob telemetry_changed = base;
     telemetry_changed.machine.telemetry.maxEvents += 1000;
     EXPECT_EQ(campaignJobKey(telemetry_changed), key);
+}
+
+TEST(CampaignKey, KeysIndexJobsAndRefuseDuplicates)
+{
+    const std::vector<SimJob> jobs = {smallJob(1), smallJob(2),
+                                      smallJob(3)};
+    CampaignKeyIndex index;
+    const std::vector<std::uint64_t> keys = campaignJobKeys(jobs, &index);
+    ASSERT_EQ(keys.size(), 3u);
+    ASSERT_EQ(index.size(), 3u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(keys[i], campaignJobKey(jobs[i]));
+        EXPECT_EQ(index.at(keys[i]), i);
+    }
+    EXPECT_THROW(campaignJobKeys({smallJob(1), smallJob(2), smallJob(1)}),
+                 FatalError);
+}
+
+TEST(CampaignMatrix, ExpandsWorkloadMajorAndRefusesUnknownMachines)
+{
+    const std::vector<WorkloadSpec> workloads = {smallJob(1).workload,
+                                                 smallJob(2).workload};
+    const std::vector<SimMode> modes = {SimMode::FullPower,
+                                        SimMode::PowerChop};
+    const std::vector<SimJob> jobs = expandCampaignMatrix(
+        workloads, {"server", "mobile"}, modes, 1234, 5.0);
+    ASSERT_EQ(jobs.size(), 8u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].workload.seed, workloads[i / 4].seed);
+        EXPECT_EQ(jobs[i].machine.name, i / 2 % 2 ? "mobile" : "server");
+        EXPECT_EQ(jobs[i].opts.mode, modes[i % 2]);
+        EXPECT_EQ(jobs[i].opts.maxInstructions, 1234u);
+        EXPECT_EQ(jobs[i].opts.timeoutCycles, 5.0);
+    }
+    EXPECT_THROW(expandCampaignMatrix(workloads, {"server", "sever"},
+                                      modes, 1234, 0),
+                 FatalError);
+}
+
+TEST(Campaign, ErrorPayloadRoundTripsEveryEscape)
+{
+    std::string error;
+    unsigned attempts = 0;
+    ASSERT_TRUE(parseErrorPayload(
+        "{\"error\":\"a\\\"b\\\\c\\nd\\te\\u0001\",\"attempts\":3}",
+        error, attempts));
+    EXPECT_EQ(error, std::string("a\"b\\c\nd\te\x01"));
+    EXPECT_EQ(attempts, 3u);
+    EXPECT_FALSE(parseErrorPayload("{\"cycles\":1}", error, attempts));
+    EXPECT_FALSE(parseErrorPayload("{\"error\":\"torn", error, attempts));
 }
 
 // ---------------------------------------------------------------------

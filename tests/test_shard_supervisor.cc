@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for process-isolated sharded campaigns: deterministic
- * key-range partitioning, the shard worker run loop, and end-to-end
- * supervision through the real CLI binary — crash containment
- * (SIGSEGV / SIGKILL of workers mid-run), restart-with-backoff,
- * resume, and the byte-identical merged report guarantee.
+ * key-range partitioning, the journaled batch core shard workers run,
+ * and end-to-end supervision through the real CLI binary — crash
+ * containment (SIGSEGV / SIGKILL of workers mid-run),
+ * restart-with-backoff, resume, and the byte-identical merged report
+ * guarantee.
  *
  * The end-to-end tests re-exec the installed CLI
  * (POWERCHOP_CLI_PATH, injected by CMake) exactly the way a user
@@ -225,7 +226,7 @@ TEST(Partition, ShardJournalPathsAreDistinct)
 }
 
 // ---------------------------------------------------------------------
-// Shard worker run loop (in-process)
+// The journaled batch core, as a shard worker runs it (in-process)
 // ---------------------------------------------------------------------
 
 TEST(ShardRun, CompletesAndJournalsEveryAssignedJob)
@@ -245,24 +246,24 @@ TEST(ShardRun, CompletesAndJournalsEveryAssignedJob)
 
     SimJobRunner runner(1);
     std::size_t done_calls = 0;
-    ShardRunOptions opts;
-    opts.onJobDone = [&](std::uint64_t, const JobOutcome &, bool) {
+    CampaignOptions opts;
+    opts.onJobDone = [&](std::uint64_t, const JobOutcome &) {
         ++done_calls;
     };
-    const ShardRunResult res =
-        runCampaignShard(runner, jobs, journal, opts);
-    EXPECT_TRUE(res.complete);
+    const CampaignResult res =
+        runJournaledBatch(runner, jobs, journal, opts);
+    EXPECT_TRUE(res.complete());
     EXPECT_FALSE(res.interrupted);
-    EXPECT_EQ(res.assigned, 3u);
+    EXPECT_EQ(res.keys.size(), 3u);
     EXPECT_EQ(res.executed, 3u);
     EXPECT_EQ(res.replayed, 0u);
     EXPECT_EQ(done_calls, 3u);
     EXPECT_EQ(loadJournal(journal).records.size(), 3u);
 
     // A second run replays everything from the journal.
-    const ShardRunResult again =
-        runCampaignShard(runner, jobs, journal, opts);
-    EXPECT_TRUE(again.complete);
+    const CampaignResult again =
+        runJournaledBatch(runner, jobs, journal, opts);
+    EXPECT_TRUE(again.complete());
     EXPECT_EQ(again.replayed, 3u);
     EXPECT_EQ(again.executed, 0u);
 }
@@ -283,12 +284,12 @@ TEST(ShardRun, PreJournalFiresBeforeRecordIsDurable)
 
     SimJobRunner runner(1);
     std::size_t records_at_hook = 99;
-    ShardRunOptions opts;
+    CampaignOptions opts;
     opts.preJournal = [&](std::uint64_t, const JobOutcome &) {
         records_at_hook =
             loadJournalIfPresent(journal).records.size();
     };
-    runCampaignShard(runner, {job}, journal, opts);
+    runJournaledBatch(runner, {job}, journal, opts);
     EXPECT_EQ(records_at_hook, 0u);
     EXPECT_EQ(loadJournal(journal).records.size(), 1u);
 }
@@ -447,7 +448,7 @@ TEST(ShardedCampaign, ResumeCompletesPartialShardJournals)
     makeCampaignDirs(dir);
     {
         // Pre-complete two jobs of shard 0's key range by running
-        // them through the worker loop directly.
+        // them through the worker's batch core directly.
         const std::vector<SimJob> matrix = cliMatrix(files);
         std::vector<std::uint64_t> keys;
         for (const auto &job : matrix)
@@ -457,9 +458,9 @@ TEST(ShardedCampaign, ResumeCompletesPartialShardJournals)
         std::vector<SimJob> head = {matrix[parts[0][0]],
                                     matrix[parts[0][1]]};
         SimJobRunner runner(1);
-        const ShardRunResult res = runCampaignShard(
+        const CampaignResult res = runJournaledBatch(
             runner, head, shardJournalPath(dir, 0), {});
-        ASSERT_TRUE(res.complete);
+        ASSERT_TRUE(res.complete());
     }
 
     std::vector<std::string> args = campaignArgs(dir, files);
@@ -495,6 +496,35 @@ TEST(ShardedCampaign, DirtyDirectoryRefusedAcrossLayouts)
     const ExitStatus st = runCli(mixed);
     EXPECT_EQ(st.kind, ExitStatus::Kind::Exited);
     EXPECT_NE(st.exitCode, 0);
+}
+
+TEST(CampaignCli, UnknownMachineIsRefusedByName)
+{
+    // A --machine typo once expanded to the mobile config and exited
+    // 0. In-process and sharded campaigns share the matrix
+    // expansion, so both must refuse it and name the machine.
+    for (const bool sharded : {false, true}) {
+        std::vector<std::string> args = {
+            "campaign", freshDir(sharded ? "typo-sh" : "typo"),
+            "--workloads", "perlbench", "--machine", "foo",
+            "--modes", "full-power", "--insns", "1000"};
+        if (sharded)
+            args.insert(args.end(), {"--shards", "2"});
+        // Through sh so the fatal() text on stderr is captured too.
+        SpawnOptions opts;
+        opts.argv = {"/bin/sh", "-c", "exec \"$0\" \"$@\" 2>&1",
+                     POWERCHOP_CLI_PATH};
+        opts.argv.insert(opts.argv.end(), args.begin(), args.end());
+        Subprocess p;
+        p.spawn(opts);
+        p.closeStdin();
+        std::string out;
+        const ExitStatus st = p.wait(60.0, &out);
+        EXPECT_EQ(st.kind, ExitStatus::Kind::Exited) << out;
+        EXPECT_NE(st.exitCode, 0) << out;
+        EXPECT_NE(out.find("unknown machine 'foo'"), std::string::npos)
+            << out;
+    }
 }
 
 TEST(ShardedCampaign, WorkerRebuildsMatrixFromForwardedFlags)

@@ -82,6 +82,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -179,13 +180,10 @@ resolveWorkload(const std::string &arg)
 SimMode
 parseMode(const std::string &m)
 {
-    for (SimMode mode : {SimMode::FullPower, SimMode::PowerChop,
-                         SimMode::MinPower, SimMode::TimeoutVpu,
-                         SimMode::DrowsyMlc}) {
-        if (m == simModeName(mode))
-            return mode;
-    }
-    fatal("unknown mode '%s'", m.c_str());
+    SimMode mode;
+    if (!simModeFromName(m, mode))
+        fatal("unknown mode '%s'", m.c_str());
+    return mode;
 }
 
 struct Args
@@ -445,12 +443,8 @@ writeTelemetry(const Args &a, const std::string &trace_path,
 MachineConfig
 resolveMachine(const Args &a, const WorkloadSpec &w)
 {
-    if (a.machine == "server")
-        return serverConfig();
-    if (a.machine == "mobile")
-        return mobileConfig();
     if (!a.machine.empty())
-        fatal("unknown machine '%s'", a.machine.c_str());
+        return machineConfigByName(a.machine);
     return w.suite == Suite::MobileBench ? mobileConfig()
                                          : serverConfig();
 }
@@ -662,10 +656,13 @@ cmdVerify(const Args &a)
     if (!a.goldens.empty()) {
         // Goldens pin fault-free runs only; fault seeds exercise the
         // differential contract, not the snapshot store.
-        std::vector<std::string> workloads = !matrix.workloads.empty()
-            ? matrix.workloads
-            : std::vector<std::string>{"perlbench", "namd", "canneal",
-                                       "msn"};
+        std::vector<WorkloadSpec> workloads;
+        for (const auto &wname : !matrix.workloads.empty()
+                 ? matrix.workloads
+                 : std::vector<std::string>{"perlbench", "namd", "canneal",
+                                            "msn"}) {
+            workloads.push_back(findWorkload(wname));
+        }
         std::vector<std::string> machines = !matrix.machines.empty()
             ? matrix.machines
             : std::vector<std::string>{"server", "mobile"};
@@ -675,45 +672,34 @@ cmdVerify(const Args &a)
                                    SimMode::MinPower, SimMode::TimeoutVpu,
                                    SimMode::DrowsyMlc};
         std::size_t updated = 0, checked = 0;
-        for (const auto &wname : workloads) {
-            for (const auto &mname : machines) {
-                for (SimMode mode : modes) {
-                    WorkloadSpec w = findWorkload(wname);
-                    MachineConfig m = mname == "server"
-                        ? serverConfig() : mobileConfig();
-                    SimOptions opts;
-                    opts.mode = mode;
-                    opts.maxInstructions = insns;
-                    opts.audit = true;
-                    SimResult r = simulate(m, w, opts);
-                    const std::string path = a.goldens + "/" +
-                        verify::goldenFileName(wname, mname,
-                                               simModeName(mode));
-                    if (a.updateGoldens) {
-                        verify::saveGolden(path, r.toJson());
-                        ++updated;
-                        continue;
-                    }
-                    verify::FlatJson golden;
-                    if (!verify::loadGolden(path, golden)) {
-                        std::printf("golden MISSING: %s (run with "
-                                    "--update-goldens)\n",
-                                    path.c_str());
-                        golden_ok = false;
-                        continue;
-                    }
-                    verify::GoldenDiff diff = verify::diffGolden(
-                        golden,
-                        verify::parseFlatJson(r.toJson(), "candidate"),
-                        a.tol);
-                    ++checked;
-                    if (!diff.ok()) {
-                        std::printf("golden FAIL: %s: %s\n",
-                                    path.c_str(),
-                                    diff.toString().c_str());
-                        golden_ok = false;
-                    }
-                }
+        for (SimJob &job :
+             expandCampaignMatrix(workloads, machines, modes, insns, 0)) {
+            job.opts.audit = true;
+            SimResult r = simulate(job.machine, job.workload, job.opts);
+            const std::string path = a.goldens + "/" +
+                verify::goldenFileName(job.workload.name, job.machine.name,
+                                       simModeName(job.opts.mode));
+            if (a.updateGoldens) {
+                verify::saveGolden(path, r.toJson());
+                ++updated;
+                continue;
+            }
+            verify::FlatJson golden;
+            if (!verify::loadGolden(path, golden)) {
+                std::printf("golden MISSING: %s (run with "
+                            "--update-goldens)\n",
+                            path.c_str());
+                golden_ok = false;
+                continue;
+            }
+            verify::GoldenDiff diff = verify::diffGolden(
+                golden, verify::parseFlatJson(r.toJson(), "candidate"),
+                a.tol);
+            ++checked;
+            if (!diff.ok()) {
+                std::printf("golden FAIL: %s: %s\n", path.c_str(),
+                            diff.toString().c_str());
+                golden_ok = false;
             }
         }
         if (a.updateGoldens)
@@ -727,6 +713,36 @@ cmdVerify(const Args &a)
     return (report.ok() && golden_ok) ? 0 : 1;
 }
 
+/** The matrix axes named by the CLI options, with the defaults
+ *  `campaign` and `client` share. Modes stay names: the client puts
+ *  them on the wire. */
+struct MatrixAxes
+{
+    std::vector<std::string> workloads, machines, modes;
+    InsnCount insns = 0;
+};
+
+MatrixAxes
+matrixAxes(const Args &a)
+{
+    MatrixAxes ax;
+    ax.workloads = !a.workloads.empty()
+        ? splitList(a.workloads)
+        : std::vector<std::string>{"perlbench", "namd", "canneal", "msn"};
+    ax.machines = !a.machine.empty()
+        ? std::vector<std::string>{a.machine}
+        : std::vector<std::string>{"server", "mobile"};
+    if (!a.modes.empty())
+        ax.modes = splitList(a.modes);
+    else if (a.modeSet)
+        ax.modes = {simModeName(a.mode)};
+    else
+        ax.modes = {"full-power", "powerchop", "min-power", "timeout-vpu",
+                    "drowsy-mlc"};
+    ax.insns = a.insnsSet ? a.insns : 200'000;
+    return ax;
+}
+
 /** The campaign matrix named by the CLI options, in canonical
  *  (workload-major) order. Shared by the in-process campaign, the
  *  shard supervisor and the campaign-worker subcommand: all three
@@ -735,42 +751,15 @@ cmdVerify(const Args &a)
 std::vector<SimJob>
 buildCampaignJobs(const Args &a)
 {
-    const std::vector<std::string> workloads = !a.workloads.empty()
-        ? splitList(a.workloads)
-        : std::vector<std::string>{"perlbench", "namd", "canneal",
-                                   "msn"};
-    const std::vector<std::string> machines = !a.machine.empty()
-        ? std::vector<std::string>{a.machine}
-        : std::vector<std::string>{"server", "mobile"};
+    const MatrixAxes ax = matrixAxes(a);
+    std::vector<WorkloadSpec> specs;
+    for (const auto &wname : ax.workloads)
+        specs.push_back(resolveWorkload(wname));
     std::vector<SimMode> modes;
-    if (!a.modes.empty()) {
-        for (const auto &m : splitList(a.modes))
-            modes.push_back(parseMode(m));
-    } else if (a.modeSet) {
-        modes = {a.mode};
-    } else {
-        modes = {SimMode::FullPower, SimMode::PowerChop,
-                 SimMode::MinPower, SimMode::TimeoutVpu,
-                 SimMode::DrowsyMlc};
-    }
-    const InsnCount insns = a.insnsSet ? a.insns : 200'000;
-
-    std::vector<SimJob> jobs;
-    for (const auto &wname : workloads) {
-        for (const auto &mname : machines) {
-            for (SimMode mode : modes) {
-                SimJob job;
-                job.workload = resolveWorkload(wname);
-                job.machine = mname == "server" ? serverConfig()
-                                                : mobileConfig();
-                job.opts.mode = mode;
-                job.opts.maxInstructions = insns;
-                job.opts.timeoutCycles = a.timeout;
-                jobs.push_back(std::move(job));
-            }
-        }
-    }
-    return jobs;
+    for (const auto &m : ax.modes)
+        modes.push_back(parseMode(m));
+    return expandCampaignMatrix(specs, ax.machines, modes, ax.insns,
+                                a.timeout);
 }
 
 /** The matrix-defining flags to forward to campaign-worker
@@ -940,26 +929,9 @@ cmdClient(const Args &a)
         // Matrix flags become a SIM spec with the same defaults as
         // `powerchop campaign`, so the served report matches a
         // direct run of the identical command line byte-for-byte.
-        const std::vector<std::string> workloads =
-            !a.workloads.empty()
-                ? splitList(a.workloads)
-                : std::vector<std::string>{"perlbench", "namd",
-                                           "canneal", "msn"};
-        const std::vector<std::string> machines = !a.machine.empty()
-            ? std::vector<std::string>{a.machine}
-            : std::vector<std::string>{"server", "mobile"};
-        std::vector<std::string> modes;
-        if (!a.modes.empty()) {
-            modes = splitList(a.modes);
-        } else if (a.modeSet) {
-            modes = {simModeName(a.mode)};
-        } else {
-            modes = {"full-power", "powerchop", "min-power",
-                     "timeout-vpu", "drowsy-mlc"};
-        }
-        const InsnCount insns = a.insnsSet ? a.insns : 200'000;
-        reply = client.sim(formatSimSpec(workloads, machines, modes,
-                                         insns, a.timeout));
+        const MatrixAxes ax = matrixAxes(a);
+        reply = client.sim(formatSimSpec(ax.workloads, ax.machines,
+                                         ax.modes, ax.insns, a.timeout));
     }
 
     if (reply.ioFailed) {
@@ -1057,48 +1029,27 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
 
     // Assignment: one 16-hex content key per stdin line, EOF ends it.
     std::vector<std::uint64_t> assigned;
-    {
-        std::string line;
-        char buf[64];
-        while (std::fgets(buf, sizeof(buf), stdin)) {
-            line = buf;
-            while (!line.empty() &&
-                   (line.back() == '\n' || line.back() == '\r')) {
-                line.pop_back();
-            }
-            if (line.empty())
-                continue;
-            assigned.push_back(
-                std::strtoull(line.c_str(), nullptr, 16));
-        }
-    }
+    unsigned long long assigned_key;
+    while (std::scanf("%llx", &assigned_key) == 1)
+        assigned.push_back(assigned_key);
 
     // Rebuild the matrix from the forwarded flags and keep only the
     // assigned keys. An assigned key the matrix cannot produce means
     // supervisor and worker disagree about the spec — fatal, because
     // silently dropping it would stall the campaign.
     const std::vector<SimJob> matrix = buildCampaignJobs(a);
-    std::vector<std::uint64_t> matrix_keys;
-    matrix_keys.reserve(matrix.size());
-    for (const auto &job : matrix)
-        matrix_keys.push_back(campaignJobKey(job));
-
+    CampaignKeyIndex index;
+    campaignJobKeys(matrix, &index);
     std::vector<SimJob> jobs;
     for (std::uint64_t key : assigned) {
-        bool found = false;
-        for (std::size_t i = 0; i < matrix.size(); ++i) {
-            if (matrix_keys[i] == key) {
-                jobs.push_back(matrix[i]);
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const auto it = index.find(key);
+        if (it == index.end()) {
             fatal("campaign-worker: assigned key %016llx matches no "
                   "job of this matrix (flag mismatch with the "
                   "supervisor?)",
                   static_cast<unsigned long long>(key));
         }
+        jobs.push_back(matrix[it->second]);
     }
 
     installCampaignSignalHandlers();
@@ -1106,65 +1057,21 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     // The worker's statusboard identity is its journal basename
     // ("shard-0000", "shard-0000-h1"): unique per worker process in
     // the campaign dir, stable across restarts of the same shard.
-    std::string label = a.journal;
-    const std::size_t slash = label.find_last_of('/');
-    if (slash != std::string::npos)
-        label = label.substr(slash + 1);
-    if (label.size() > 6 &&
-        label.substr(label.size() - 6) == ".jsonl") {
-        label = label.substr(0, label.size() - 6);
-    }
+    const std::string label =
+        std::filesystem::path(a.journal).stem().string();
 
-    std::unique_ptr<StatusPublisher> publisher;
+    SimJobRunner runner;
+    std::unique_ptr<CampaignStatus> status;
     if (statusboardEnabled()) {
         makeCampaignDirs(statusDirPath(dir));
-        publisher = std::make_unique<StatusPublisher>(
-            statusDirPath(dir) + "/" + label + ".json");
+        status = std::make_unique<CampaignStatus>(
+            statusDirPath(dir) + "/" + label + ".json", "shard-worker",
+            label, runner);
     }
     if (flightRecorderEnabled()) {
         FlightRecorder::global().enable(dir + "/flight-" + label +
                                         ".jsonl");
     }
-
-    std::atomic<std::size_t> done_jobs{0}, ok_jobs{0},
-        failed_jobs{0}, retried_jobs{0};
-    std::mutex inflight_mutex;
-    std::vector<std::uint64_t> inflight;
-    stats::Log2Histogram fsync_latency_ns;
-    SimJobRunner runner;
-    const double obs_start = monotonicSeconds();
-    const InsnCount obs_tally_start = simulatedInstructionTally();
-    const std::size_t total_jobs = jobs.size();
-    const auto makeSnapshot = [&](bool finished) {
-        StatusSnapshot snap;
-        snap.role = "shard-worker";
-        snap.label = label;
-        snap.jobsTotal = total_jobs;
-        snap.jobsDone = done_jobs.load(std::memory_order_relaxed);
-        snap.jobsOk = ok_jobs.load(std::memory_order_relaxed);
-        snap.jobsFailed =
-            failed_jobs.load(std::memory_order_relaxed);
-        snap.jobsRetried =
-            retried_jobs.load(std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            snap.inFlight = inflight;
-        }
-        const double elapsed = monotonicSeconds() - obs_start;
-        if (elapsed > 0) {
-            snap.mips = static_cast<double>(
-                            simulatedInstructionTally() -
-                            obs_tally_start) /
-                        elapsed / 1e6;
-        }
-        snap.jobLatencyMs =
-            runner.report().taskLatencyNs.quantiles(1e-6);
-        snap.fsyncLatencyMs = fsync_latency_ns.quantiles(1e-6);
-        if (telemetry::StageProfiler::global().enabled())
-            snap.stages = telemetry::StageProfiler::global().snapshot();
-        snap.finished = finished;
-        return snap;
-    };
 
     // Protocol stdout (ready/hb/done lines) is shared between worker
     // threads and the heartbeat thread.
@@ -1176,19 +1083,14 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     };
     emit(csprintf("ready %zu", jobs.size()));
 
+    // ~500ms heartbeat keeps hang detection cheap and prompt; the
+    // 100ms slices keep worker exit snappy.
     std::atomic<bool> hb_stop{false};
     std::thread heartbeat([&] {
-        // ~500ms cadence keeps hang detection cheap and prompt; the
-        // 100ms slices keep worker exit snappy. The statusboard rides
-        // the same ticks (its publisher gates itself to the cadence
-        // floor), so MIPS and heartbeat age stay fresh even while a
-        // long job is in flight.
         int tick = 0;
         while (!hb_stop.load(std::memory_order_relaxed)) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(100));
-            if (publisher)
-                publisher->publish(makeSnapshot(false));
             if (++tick >= 5) {
                 tick = 0;
                 emit("hb");
@@ -1209,11 +1111,11 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
     const std::string crash_mode =
         envString("POWERCHOP_TEST_CRASH_MODE").value_or("segv");
 
-    ShardRunOptions sopts;
-    sopts.timeoutSeconds = a.timeoutSeconds;
-    sopts.maxRetries = a.retries;
-    sopts.drainSeconds = a.drainSeconds;
-    sopts.preJournal = [&](std::uint64_t key, const JobOutcome &) {
+    CampaignOptions copts;
+    copts.timeoutSeconds = a.timeoutSeconds;
+    copts.maxRetries = a.retries;
+    copts.drainSeconds = a.drainSeconds;
+    copts.preJournal = [&](std::uint64_t key, const JobOutcome &) {
         if (crash_key == 0 || key != crash_key)
             return;
         const std::string marker = csprintf(
@@ -1230,55 +1132,22 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
             ::raise(SIGSEGV);
         }
     };
-    sopts.onJobStart = [&](std::uint64_t key) {
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            inflight.push_back(key);
-        }
-        if (publisher)
-            publisher->publish(makeSnapshot(false));
-    };
-    sopts.onJobDone = [&](std::uint64_t key, const JobOutcome &o,
-                          bool) {
-        done_jobs.fetch_add(1, std::memory_order_relaxed);
-        if (o.status == JobStatus::Ok)
-            ok_jobs.fetch_add(1, std::memory_order_relaxed);
-        else
-            failed_jobs.fetch_add(1, std::memory_order_relaxed);
-        if (o.attempts > 1) {
-            retried_jobs.fetch_add(o.attempts - 1,
-                                   std::memory_order_relaxed);
-        }
-        {
-            std::lock_guard<std::mutex> lock(inflight_mutex);
-            for (auto it = inflight.begin(); it != inflight.end();
-                 ++it) {
-                if (*it == key) {
-                    inflight.erase(it);
-                    break;
-                }
-            }
-        }
-        if (publisher)
-            publisher->publish(makeSnapshot(false));
+    copts.onJobDone = [&](std::uint64_t key, const JobOutcome &o) {
         emit(csprintf("done %016llx %s",
                       static_cast<unsigned long long>(key),
                       jobStatusName(o.status)));
     };
-    if (publisher)
-        sopts.fsyncLatencyNs = &fsync_latency_ns;
 
-    const ShardRunResult res =
-        runCampaignShard(runner, jobs, a.journal, sopts);
+    const CampaignResult res =
+        runJournaledBatch(runner, jobs, a.journal, copts, status.get());
 
     hb_stop.store(true, std::memory_order_relaxed);
     heartbeat.join();
-    if (publisher)
-        publisher->publish(makeSnapshot(true), true);
+    if (status)
+        status->finish();
 
-    if (res.interrupted)
-        return campaignInterruptedExitStatus;
-    return res.complete ? 0 : 1;
+    // Every job not interrupted holds a terminal journal record.
+    return res.interrupted ? campaignInterruptedExitStatus : 0;
 }
 
 int
