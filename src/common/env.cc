@@ -9,30 +9,27 @@
 namespace powerchop
 {
 
-namespace
-{
-
-/** The reason a raw value failed integer parsing, or nullptr. */
 const char *
-uintParseFailure(const char *raw, unsigned long long &out)
+parseUint64(const char *raw, std::uint64_t &out)
 {
     if (raw[0] == '-' || raw[0] == '+')
         return "a sign is not accepted";
 
     errno = 0;
     char *end = nullptr;
-    out = std::strtoull(raw, &end, 10);
+    const unsigned long long v = std::strtoull(raw, &end, 10);
     if (end == raw)
         return "not a number";
     if (*end != '\0')
         return "trailing junk after the number";
     if (errno == ERANGE)
         return "overflows 64 bits";
+    out = v;
     return nullptr;
 }
 
 const char *
-doubleParseFailure(const char *raw, double &out)
+parseDouble(const char *raw, double &out)
 {
     errno = 0;
     char *end = nullptr;
@@ -47,8 +44,6 @@ doubleParseFailure(const char *raw, double &out)
         return "not a finite number";
     return nullptr;
 }
-
-} // namespace
 
 std::optional<std::string>
 envString(const char *name)
@@ -66,18 +61,19 @@ envUint64(const char *name, std::uint64_t min, std::uint64_t max)
     if (!raw || !*raw)
         return std::nullopt;
 
-    unsigned long long v = 0;
-    if (const char *why = uintParseFailure(raw, v)) {
+    std::uint64_t v = 0;
+    if (const char *why = parseUint64(raw, v)) {
         warn("ignoring %s='%s': %s", name, raw, why);
         return std::nullopt;
     }
     if (v < min || v > max) {
-        warn("ignoring %s=%llu: outside [%llu, %llu]", name, v,
+        warn("ignoring %s=%llu: outside [%llu, %llu]", name,
+             static_cast<unsigned long long>(v),
              static_cast<unsigned long long>(min),
              static_cast<unsigned long long>(max));
         return std::nullopt;
     }
-    return static_cast<std::uint64_t>(v);
+    return v;
 }
 
 std::optional<double>
@@ -88,7 +84,7 @@ envDouble(const char *name, double min, double max)
         return std::nullopt;
 
     double v = 0;
-    if (const char *why = doubleParseFailure(raw, v)) {
+    if (const char *why = parseDouble(raw, v)) {
         warn("ignoring %s='%s': %s", name, raw, why);
         return std::nullopt;
     }

@@ -22,6 +22,17 @@ namespace powerchop
 {
 
 /**
+ * Strict number parsing, shared by the environment variables below and
+ * the CLI's numeric flags: the whole string must be the number.
+ * Integers take no sign and must fit 64 bits; doubles must be finite.
+ *
+ * @return nullptr on success, else why `raw` was rejected. @{
+ */
+const char *parseUint64(const char *raw, std::uint64_t &out);
+const char *parseDouble(const char *raw, double &out);
+/** @} */
+
+/**
  * Read a string-valued environment variable.
  *
  * @param name Variable name (e.g. "POWERCHOP_RUNNER_JSON").

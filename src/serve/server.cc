@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <set>
 
@@ -104,12 +105,22 @@ parseSimSpec(const std::string &text, SimSpec &out, std::string &err)
         }
         out.modes.push_back(mode);
     }
-    out.insns = doc.getUint64("insns", 200'000);
-    if (out.insns == 0) {
-        err = "\"insns\" must be positive";
+    // A malformed number is refused, never coerced: a fallback or a
+    // truncation would answer for a different job than was asked. A
+    // present non-number reads as -1.
+    const json::Value *insns = doc.find("insns");
+    const json::Value *timeout = doc.find("timeout");
+    const double n = insns ? insns->asDouble(-1) : 200'000;
+    out.timeoutCycles = timeout ? timeout->asDouble(-1) : 0;
+    if (!(n >= 1) || n != std::floor(n) || n >= 0x1p64) {
+        err = "\"insns\" must be a positive integer";
         return false;
     }
-    out.timeoutCycles = doc.getDouble("timeout", 0);
+    if (!(out.timeoutCycles >= 0) || !std::isfinite(out.timeoutCycles)) {
+        err = "\"timeout\" must be a finite non-negative number";
+        return false;
+    }
+    out.insns = static_cast<std::uint64_t>(n);
     return true;
 }
 

@@ -31,7 +31,7 @@ validateCache(const std::string &machine, const char *which,
 
 } // namespace
 
-void
+const MachineConfig &
 MachineConfig::validate() const
 {
     core.validate();
@@ -97,6 +97,7 @@ MachineConfig::validate() const
     powerChop.qos.validate(name);
     faults.validate(name);
     telemetry.validate(name);
+    return *this;
 }
 
 std::string

@@ -53,8 +53,8 @@ struct MachineConfig
 
     /** Validate the whole configuration: every simulate() call runs
      *  this before building the machine, and each violation is a
-     *  fatal() naming the offending field. */
-    void validate() const;
+     *  fatal() naming the offending field. @return *this. */
+    const MachineConfig &validate() const;
 
     /**
      * Canonical field-by-field text rendering of every parameter

@@ -1,9 +1,6 @@
 #include "verify/reference_simulator.hh"
 
-#include "common/logging.hh"
-#include "core/drowsy_mlc.hh"
-#include "core/perf_monitor.hh"
-#include "telemetry/trace.hh"
+#include "sim/sim_machine.hh"
 
 namespace powerchop
 {
@@ -14,97 +11,16 @@ SimResult
 referenceSimulate(const MachineConfig &machine,
                   const WorkloadSpec &workload, const SimOptions &opts)
 {
-    machine.validate();
-    if (opts.maxInstructions == 0)
-        fatal("referenceSimulate: zero instruction budget");
-
-    // --- Build the machine (identical to simulate()) -------------------
-    WorkloadGenerator gen(workload);
-    BtParams bt_params = machine.bt;
-    BtSystem bt(gen.program(), bt_params);
-    BpuComplex bpu(machine.bpu);
-    MemHierarchy mem(machine.l1, machine.mlc);
-    Vpu vpu(machine.vpu);
-    GatingController controller(vpu, bpu, mem, machine.penalties);
-    PerfMonitor monitor(bpu, mem);
-    PowerChopUnit pchop(machine.powerChop, controller, bt.nucleus(),
-                        monitor);
-
-    FaultInjector injector(machine.faults);
-    if (injector.active()) {
-        controller.setFaultInjector(&injector);
-        pchop.setFaultInjector(&injector);
-    }
-
-    TimeoutParams to_params = machine.timeout;
-    if (opts.timeoutCycles > 0)
-        to_params.timeoutCycles = opts.timeoutCycles;
-    TimeoutGater timeout(vpu, to_params);
-    DrowsyMlc drowsy(mem, machine.drowsy);
-
-    CorePowerModel power_model(machine.power);
-
+    SimMachine m(machine, workload, opts);
     const CoreParams &core = machine.core;
     const double slot = 1.0 / core.issueWidth;
 
-    const bool use_powerchop = opts.mode == SimMode::PowerChop;
-    const bool use_timeout = opts.mode == SimMode::TimeoutVpu;
-    const bool use_drowsy = opts.mode == SimMode::DrowsyMlc;
-
-    if (use_powerchop) {
-        pchop.setManagedUnits(opts.manageVpu, opts.manageBpu,
-                              opts.manageMlc);
-        if (opts.windowObserver)
-            pchop.setWindowObserver(opts.windowObserver);
-    }
-
-    telemetry::TraceRecorder *trace = opts.trace;
-    if (trace) {
-        trace->beginRun(workload.name, machine.name,
-                        simModeName(opts.mode), machine.telemetry);
-        controller.setTrace(trace);
-        pchop.setTrace(trace);
-        if (injector.active())
-            injector.setTrace(trace);
-    }
-
-    SimResult res;
-    res.workload = workload.name;
-    res.machine = machine.name;
-    res.mode = opts.mode;
-
-    Cycles cycles = 0;
-    Cycles last_accrue = 0;
-
-    if (opts.mode == SimMode::MinPower) {
-        cycles += controller.applyPolicy(GatingPolicy::minPower());
-    } else if (opts.mode == SimMode::StaticPolicy) {
-        cycles += controller.applyPolicy(opts.staticPolicy);
-    }
-
+    Cycles cycles = m.start();
+    LoopCounters loop;
     ActivityRecord act;
-    std::uint64_t branch_lookups = 0;
-    std::uint64_t branch_mispredicts = 0;
-    std::uint64_t bpu_large_lookups = 0;
-    std::uint64_t mlc_accesses = 0;
-
-    TranslationId last_trans = invalidTranslationId;
-    std::uint64_t insns_since_head = 0;
-
-    const Translation *cur_trace = nullptr;
-    std::size_t trace_idx = 0;
 
     Addr last_miss_line = ~static_cast<Addr>(0);
     const Addr line_shift = 6;
-
-    bool interpreting = true;
-
-    auto accrue = [&]() {
-        if (cycles > last_accrue) {
-            controller.accrue(cycles - last_accrue);
-            last_accrue = cycles;
-        }
-    };
 
     // --- The reference loop --------------------------------------------
     // Strictly one instruction per iteration. Head work runs whenever
@@ -113,69 +29,23 @@ referenceSimulate(const MachineConfig &machine,
     // first principles at each instruction instead of being hoisted,
     // counted down or cached.
     const InsnCount max_insns = opts.maxInstructions;
-    const std::atomic<bool> *cancel = opts.cancelFlag;
     for (InsnCount n = 0; n < max_insns; ++n) {
-        if (gen.atBlockHead()) {
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
-                throw SimCancelledError(csprintf(
-                    "referenceSimulate(%s on %s): cancelled after "
-                    "%llu of %llu instructions",
-                    workload.name.c_str(), machine.name.c_str(),
-                    static_cast<unsigned long long>(n),
-                    static_cast<unsigned long long>(max_insns)));
-            }
-
-            const BlockId blk = gen.currentBlock();
-
-            if (cur_trace && trace_idx < cur_trace->blocks.size() &&
-                cur_trace->blocks[trace_idx] == blk) {
-                ++trace_idx;
-                interpreting = false;
-            } else {
-                cur_trace = nullptr;
-                RegionEntry entry = bt.enterRegion(blk);
-                cycles += entry.extraCycles;
-                interpreting = (entry.mode == ExecMode::Interpreted);
-
-                if (entry.mode == ExecMode::Translated) {
-                    if (use_powerchop &&
-                        last_trans != invalidTranslationId) {
-                        accrue();
-                        if (trace)
-                            trace->setNow(n, cycles);
-                        cycles += pchop.onTranslationHead(
-                            last_trans, insns_since_head, cycles);
-                    }
-                    last_trans = entry.translation->id;
-                    insns_since_head = 0;
-                    cur_trace = entry.translation;
-                    trace_idx = 1;
-                } else {
-                    last_trans = invalidTranslationId;
-                    insns_since_head = 0;
-                }
-            }
-
-            if (use_timeout) {
-                accrue();
-                cycles += timeout.checkIdle(cycles);
-            }
-            if (use_drowsy)
-                drowsy.tick(cycles);
+        if (m.gen.atBlockHead()) {
+            m.pollCancel(n);
+            cycles = m.blockHead(n, cycles);
         }
 
-        const DynInst &di = gen.next();
+        const DynInst &di = m.gen.next();
         const OpClass op = di.op();
-        monitor.onCommit(op);
-        ++insns_since_head;
+        m.monitor.onCommit(op);
+        ++m.insnsSinceHead;
 
-        cycles += interpreting ? core.interpreterCpi : slot;
+        cycles += m.interpreting() ? core.interpreterCpi : slot;
 
         switch (op) {
           case OpClass::SimdOp: {
-            if (use_timeout)
-                cycles += timeout.onSimdUse(cycles);
-            double slots = vpu.executeSimd();
+            cycles = m.simdUse(cycles);
+            double slots = m.vpu.executeSimd();
             if (slots > 1.0) {
                 cycles += (slots - 1.0) * slot;
                 act.instructions += slots - 1.0;
@@ -185,7 +55,7 @@ referenceSimulate(const MachineConfig &machine,
           case OpClass::Load:
           case OpClass::Store: {
             const bool is_store = (op == OpClass::Store);
-            MemAccessResult r = mem.access(di.effAddr, is_store);
+            MemAccessResult r = m.mem.access(di.effAddr, is_store);
             double scale = is_store ? core.storeStallFraction : 1.0;
             if (r.level == MemLevel::Mlc) {
                 cycles += core.mlcHitPenalty * scale;
@@ -201,9 +71,9 @@ referenceSimulate(const MachineConfig &machine,
                           (streamed ? core.streamMissFactor : 1.0);
             }
             if (r.level != MemLevel::L1) {
-                ++mlc_accesses;
+                ++loop.mlcAccesses;
                 // Re-dispatch on the live policy at every access.
-                switch (controller.current().mlc) {
+                switch (m.controller.current().mlc) {
                   case MlcPolicy::AllWays:
                     act.mlcAccessesFull += 1;
                     break;
@@ -222,18 +92,18 @@ referenceSimulate(const MachineConfig &machine,
           }
           case OpClass::Branch: {
             if (di.isTerminator) {
-                BpuOutcome o = bpu.predictIndirect(di.pc(), di.target);
+                BpuOutcome o = m.bpu.predictIndirect(di.pc(), di.target);
                 if (o.targetMiss)
                     cycles += core.btbMissPenalty;
                 break;
             }
-            BpuOutcome o = bpu.predict(di.pc(), di.taken, di.target);
-            ++branch_lookups;
-            if (bpu.largeOn())
-                ++bpu_large_lookups;
+            BpuOutcome o = m.bpu.predict(di.pc(), di.taken, di.target);
+            ++loop.branchLookups;
+            if (m.bpu.largeOn())
+                ++loop.bpuLargeLookups;
             if (o.directionMispredict) {
                 cycles += core.mispredictPenalty;
-                ++branch_mispredicts;
+                ++loop.branchMispredicts;
             } else if (o.targetMiss) {
                 cycles += core.btbMissPenalty;
             }
@@ -249,119 +119,8 @@ referenceSimulate(const MachineConfig &machine,
             opts.sampler(n + 1, cycles);
     }
 
-    // Flush the trailing attribution, exactly as simulate() does.
-    if (use_powerchop && last_trans != invalidTranslationId &&
-        insns_since_head > 0) {
-        accrue();
-        if (trace)
-            trace->setNow(max_insns, cycles);
-        cycles +=
-            pchop.onTranslationHead(last_trans, insns_since_head, cycles);
-        insns_since_head = 0;
-    }
-
-    accrue();
-    if (use_timeout)
-        timeout.finish(cycles);
-    if (use_drowsy)
-        drowsy.finish(cycles);
-
-    if (trace) {
-        trace->setNow(max_insns, cycles);
-        trace->endRun(max_insns, cycles);
-    }
-
-    // --- Collect results (identical arithmetic to simulate()) ----------
-    auto per = [](double num, double den) {
-        return den > 0 ? num / den : 0.0;
-    };
-
-    res.instructions = max_insns;
-    res.cycles = cycles;
-    res.seconds = per(cycles, core.frequencyHz);
-
-    res.gating = controller.stats();
-    if (use_timeout) {
-        res.gating.vpuSwitches = timeout.switches();
-        res.gating.vpuGatedCycles = timeout.gatedCycles();
-    }
-
-    res.vpuGatedFraction = per(res.gating.vpuGatedCycles, cycles);
-    res.bpuGatedFraction = per(res.gating.bpuGatedCycles, cycles);
-    res.mlcHalfFraction = per(res.gating.mlcHalfCycles, cycles);
-    res.mlcQuarterFraction = per(res.gating.mlcQuarterCycles, cycles);
-    res.mlcOneWayFraction = per(res.gating.mlcOneWayCycles, cycles);
-
-    const double mcycles = cycles / 1e6;
-    res.vpuSwitchesPerMcycle = per(res.gating.vpuSwitches, mcycles);
-    res.bpuSwitchesPerMcycle = per(res.gating.bpuSwitches, mcycles);
-    res.mlcSwitchesPerMcycle = per(res.gating.mlcSwitches, mcycles);
-
-    res.pvtLookups = pchop.pvt().lookups();
-    res.pvtHits = pchop.pvt().hits();
-
-    res.faults = injector.stats();
-    const QosStats &qos = pchop.qos().stats();
-    res.safeModeActivations = qos.safeModeActivations;
-    res.safeModeWindowFraction = qos.windowsObserved
-        ? static_cast<double>(qos.safeModeWindows) /
-              qos.windowsObserved
-        : 0.0;
-    res.translationsExecuted = pchop.translationsSeen();
-    res.pvtMissPerTranslation = res.translationsExecuted
-        ? static_cast<double>(pchop.pvt().misses()) /
-              res.translationsExecuted
-        : 0.0;
-
-    res.l1HitRate = mem.l1().hitRate();
-    res.mlcHitRate = mem.mlc().hitRate();
-    res.mlcAccesses = mlc_accesses;
-    res.mlcAccessesPerKilo =
-        per(1000.0 * mlc_accesses, res.instructions);
-
-    res.branchLookups = branch_lookups;
-    res.branchMispredicts = branch_mispredicts;
-    res.branchMispredictRate =
-        per(branch_mispredicts, branch_lookups);
-    res.branchesPerKilo =
-        per(1000.0 * branch_lookups, res.instructions);
-
-    res.simdOps = vpu.nativeOps();
-    res.simdEmulated = vpu.emulatedOps();
-
-    if (use_drowsy) {
-        res.mlcDrowsyFraction = drowsy.avgDrowsyFraction();
-        res.drowsyWakes = mem.mlc().drowsyWakes();
-        act.mlcDrowsyFraction = res.mlcDrowsyFraction;
-        act.drowsyLeakageFraction =
-            machine.drowsy.drowsyLeakageFraction;
-    }
-
-    act.cycles = cycles;
-    act.instructions += res.instructions;
-    act.vpuOps = static_cast<double>(vpu.nativeOps());
-    act.bpuLargeLookups = static_cast<double>(bpu_large_lookups);
-    act.vpuGatedCycles = res.gating.vpuGatedCycles;
-    act.bpuGatedCycles = res.gating.bpuGatedCycles;
-    act.mlcFullCycles = res.gating.mlcFullCycles;
-    act.mlcHalfCycles = res.gating.mlcHalfCycles;
-    act.mlcQuarterCycles = res.gating.mlcQuarterCycles;
-    act.mlcOneWayCycles = res.gating.mlcOneWayCycles;
-    if (use_timeout) {
-        act.vpuGatedCycles = timeout.gatedCycles();
-        act.vpuSwitches = static_cast<double>(timeout.switches());
-        act.mlcFullCycles = cycles;
-    } else {
-        act.vpuSwitches = static_cast<double>(res.gating.vpuSwitches);
-    }
-    act.bpuSwitches = static_cast<double>(res.gating.bpuSwitches);
-    act.mlcSwitches = static_cast<double>(res.gating.mlcSwitches);
-
-    res.slotOps = act.instructions;
-    res.activity = act;
-    res.energy = accumulateEnergy(power_model, act, machine.mlc.assoc);
-
-    return res;
+    cycles = m.finish(max_insns, cycles);
+    return m.collect(max_insns, cycles, loop, act);
 }
 
 } // namespace verify

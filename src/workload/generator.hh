@@ -71,19 +71,6 @@ class WorkloadGenerator
     /** @return the id of the block currently executing. */
     BlockId currentBlock() const { return curBlock_; }
 
-    /** @return instructions left in the current block, terminator
-     *  included: exactly this many next() calls complete the block
-     *  and make atBlockHead() true again. The simulator uses it to
-     *  run whole-block bursts without per-instruction head checks. */
-    InsnCount
-    blockInsnsRemaining() const
-    {
-        return (decoded_.empty()
-                    ? program_->block(curBlock_).insts.size()
-                    : decoded_[curBlock_].numInsns) -
-            instPos_;
-    }
-
     // --- Batch (structure-of-arrays) execution API ----------------------
     //
     // The simulator's hot loop consumes whole blocks through this API

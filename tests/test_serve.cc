@@ -497,9 +497,31 @@ TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
     EXPECT_EQ(r.status, ResponseStatus::Err);
     EXPECT_NE(r.payload.find("duplicate"), std::string::npos);
 
+    // A malformed number names its field instead of being coerced
+    // into some other job (a fallback, a wrap or a truncation).
+    const std::string head = "{\"workloads\":[\"perlbench\"],"
+                             "\"machines\":[\"server\"],"
+                             "\"modes\":[\"full-power\"],";
+    for (const char *bad : {"\"insns\":-5", "\"insns\":\"abc\"",
+                            "\"insns\":1.5", "\"insns\":0",
+                            "\"insns\":1e999"}) {
+        r = c.sim(head + bad + "}");
+        EXPECT_EQ(r.status, ResponseStatus::Err) << bad;
+        EXPECT_NE(r.payload.find("\"insns\""), std::string::npos)
+            << bad;
+    }
+    for (const char *bad : {"\"insns\":1000,\"timeout\":\"abc\"",
+                            "\"insns\":1000,\"timeout\":-1",
+                            "\"insns\":1000,\"timeout\":1e999"}) {
+        r = c.sim(head + bad + "}");
+        EXPECT_EQ(r.status, ResponseStatus::Err) << bad;
+        EXPECT_NE(r.payload.find("\"timeout\""), std::string::npos)
+            << bad;
+    }
+
     EXPECT_TRUE(c.stats().served()) << "connection still alive";
     const ServeReport &rep = server.stopAndJoin();
-    EXPECT_EQ(rep.errors, 5u);
+    EXPECT_EQ(rep.errors, 13u);
     EXPECT_EQ(rep.simulatedJobs, 0u)
         << "no bad request may reach the runner";
 }

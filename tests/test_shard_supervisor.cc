@@ -148,6 +148,29 @@ runCli(const std::vector<std::string> &args,
     return st;
 }
 
+struct CliRun
+{
+    ExitStatus status;
+    std::string out; ///< stdout and stderr, interleaved.
+};
+
+/** Run the real CLI through sh so its stderr (usage and fatal()
+ *  text) is captured along with stdout. */
+CliRun
+runCliCapture(const std::vector<std::string> &args)
+{
+    SpawnOptions opts;
+    opts.argv = {"/bin/sh", "-c", "exec \"$0\" \"$@\" 2>&1",
+                 POWERCHOP_CLI_PATH};
+    opts.argv.insert(opts.argv.end(), args.begin(), args.end());
+    Subprocess p;
+    p.spawn(opts);
+    p.closeStdin();
+    CliRun run;
+    run.status = p.wait(60.0, &run.out);
+    return run;
+}
+
 std::vector<std::string>
 campaignArgs(const std::string &dir,
              const std::vector<std::string> &specFiles)
@@ -510,20 +533,49 @@ TEST(CampaignCli, UnknownMachineIsRefusedByName)
             "--modes", "full-power", "--insns", "1000"};
         if (sharded)
             args.insert(args.end(), {"--shards", "2"});
-        // Through sh so the fatal() text on stderr is captured too.
-        SpawnOptions opts;
-        opts.argv = {"/bin/sh", "-c", "exec \"$0\" \"$@\" 2>&1",
-                     POWERCHOP_CLI_PATH};
-        opts.argv.insert(opts.argv.end(), args.begin(), args.end());
-        Subprocess p;
-        p.spawn(opts);
-        p.closeStdin();
-        std::string out;
-        const ExitStatus st = p.wait(60.0, &out);
-        EXPECT_EQ(st.kind, ExitStatus::Kind::Exited) << out;
-        EXPECT_NE(st.exitCode, 0) << out;
-        EXPECT_NE(out.find("unknown machine 'foo'"), std::string::npos)
-            << out;
+        const CliRun run = runCliCapture(args);
+        EXPECT_EQ(run.status.kind, ExitStatus::Kind::Exited) << run.out;
+        EXPECT_NE(run.status.exitCode, 0) << run.out;
+        EXPECT_NE(run.out.find("unknown machine 'foo'"),
+                  std::string::npos)
+            << run.out;
+    }
+}
+
+TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
+{
+    // `--insns 1e6` once journaled a 1-instruction campaign, `--shards
+    // two` ran unsharded and `client --get ""` fell through to a SIM.
+    // Every numeric flag must parse whole and in range, or exit 2
+    // naming the flag before any work starts.
+    const std::string dir = freshDir("badnum");
+    const std::vector<std::string> base = {
+        "campaign", dir, "--workloads", "perlbench", "--machine",
+        "server", "--modes", "full-power"};
+    const std::vector<std::vector<std::string>> cases = {
+        {"--insns", "1e6"},     {"--insns", "-5"},
+        {"--insns", "0"},       {"--insns", "99999999999999999999"},
+        {"--shards", "two"},    {"--shards", "1000"},
+        {"--retries", "3x"},    {"--timeout", "abc"},
+        {"--timeout-seconds", "-1"}, {"--drain-seconds", "inf"},
+    };
+    for (const auto &bad : cases) {
+        std::vector<std::string> args = base;
+        args.insert(args.end(), bad.begin(), bad.end());
+        const CliRun run = runCliCapture(args);
+        EXPECT_EQ(run.status.kind, ExitStatus::Kind::Exited) << run.out;
+        EXPECT_EQ(run.status.exitCode, 2) << bad[0] << " " << bad[1];
+        EXPECT_NE(run.out.find(bad[0]), std::string::npos) << run.out;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/journal.jsonl"))
+        << "a refused command must not start the campaign";
+
+    for (const char *key : {"", "xyz", "12345678901234567"}) {
+        const CliRun run = runCliCapture(
+            {"client", "--socket", dir + "/none.sock", "--get", key});
+        EXPECT_EQ(run.status.kind, ExitStatus::Kind::Exited) << run.out;
+        EXPECT_EQ(run.status.exitCode, 2) << "--get '" << key << "'";
+        EXPECT_NE(run.out.find("--get"), std::string::npos) << run.out;
     }
 }
 

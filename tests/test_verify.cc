@@ -129,18 +129,42 @@ constexpr SimMode allModes[] = {
 
 TEST(Differential, ReferenceMatchesOptimizedAcrossModes)
 {
+    // Results and trace event streams both: the streams pin where
+    // each loop stamps the trace clock at translation heads and the
+    // run's tail, which no result field shows.
     const WorkloadSpec w = smallWorkload();
+    std::size_t events = 0;
     for (SimMode mode : allModes) {
         for (const MachineConfig &m : {serverConfig(), mobileConfig()}) {
+            telemetry::TraceRecorder opt_trace, ref_trace;
             SimOptions opts;
             opts.mode = mode;
             opts.maxInstructions = 120'000;
             SCOPED_TRACE(std::string(simModeName(mode)) + " on " +
                          m.name);
-            expectBitIdentical(simulate(m, w, opts),
-                               referenceSimulate(m, w, opts));
+            opts.trace = &opt_trace;
+            const SimResult opt = simulate(m, w, opts);
+            opts.trace = &ref_trace;
+            expectBitIdentical(opt, referenceSimulate(m, w, opts));
+
+            EXPECT_EQ(opt_trace.endInsns(), ref_trace.endInsns());
+            EXPECT_EQ(opt_trace.endCycles(), ref_trace.endCycles());
+            const auto &oe = opt_trace.events();
+            const auto &re = ref_trace.events();
+            ASSERT_EQ(oe.size(), re.size());
+            for (std::size_t i = 0; i < oe.size(); ++i) {
+                SCOPED_TRACE("event " + std::to_string(i));
+                EXPECT_EQ(oe[i].kind, re[i].kind);
+                EXPECT_EQ(oe[i].insns, re[i].insns);
+                EXPECT_EQ(oe[i].cycles, re[i].cycles);
+                EXPECT_EQ(oe[i].a0, re[i].a0);
+                EXPECT_EQ(oe[i].a1, re[i].a1);
+                EXPECT_EQ(oe[i].d, re[i].d);
+            }
+            events += oe.size();
         }
     }
+    EXPECT_GT(events, 0u) << "no mode recorded a trace event";
 }
 
 TEST(Differential, ReferenceMatchesOptimizedUnderFaults)

@@ -19,8 +19,9 @@
  *                                journaled work. Exit 0 = complete,
  *                                3 = interrupted (resumable),
  *                                1 = permanent failures.
- *                                --shards N forks N campaign-worker
- *                                processes supervised for crash
+ *                                --shards N (at most 256) forks N
+ *                                campaign-worker processes
+ *                                supervised for crash
  *                                containment (restart with backoff,
  *                                straggler re-dispatch); the merged
  *                                report.json is byte-identical to a
@@ -83,6 +84,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -254,134 +256,167 @@ struct Args
     bool profile = false;
 };
 
+/** Limits for the numeric flags below. @{ */
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxUnsigned =
+    std::numeric_limits<unsigned>::max();
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+/** One worker process per shard. */
+constexpr std::uint64_t kMaxShards = 256;
+/** @} */
+
+/** A numeric flag's value: the whole token must be a number in
+ *  [lo, hi]; anything else is a UsageError naming the flag. @{ */
+std::uint64_t
+countFlag(const std::string &flag, const std::string &raw,
+          std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    if (const char *why = parseUint64(raw.c_str(), v))
+        throw UsageError(csprintf("%s '%s': %s", flag.c_str(),
+                                  raw.c_str(), why));
+    if (v < lo || v > hi)
+        throw UsageError(csprintf(
+            "%s %llu: outside [%llu, %llu]", flag.c_str(),
+            static_cast<unsigned long long>(v),
+            static_cast<unsigned long long>(lo),
+            static_cast<unsigned long long>(hi)));
+    return v;
+}
+
+double
+realFlag(const std::string &flag, const std::string &raw, double lo,
+         double hi)
+{
+    double v = 0;
+    if (const char *why = parseDouble(raw.c_str(), v))
+        throw UsageError(csprintf("%s '%s': %s", flag.c_str(),
+                                  raw.c_str(), why));
+    if (v < lo || v > hi)
+        throw UsageError(csprintf("%s %g: outside [%g, %g]",
+                                  flag.c_str(), v, lo, hi));
+    return v;
+}
+/** @} */
+
 Args
 parseOptions(const std::vector<std::string> &rest)
 {
     Args a;
     for (std::size_t i = 0; i < rest.size(); ++i) {
-        auto need = [&](const char *what) -> const std::string & {
+        const std::string &opt = rest[i];
+        auto need = [&]() -> const std::string & {
             if (i + 1 >= rest.size())
-                fatal("%s requires a value", what);
+                fatal("%s requires a value", opt.c_str());
             return rest[++i];
         };
-        if (rest[i] == "--machine")
-            a.machine = need("--machine");
-        else if (rest[i] == "--mode") {
-            a.mode = parseMode(need("--mode"));
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return countFlag(opt, need(), lo, hi);
+        };
+        auto real = [&](double lo, double hi) {
+            return realFlag(opt, need(), lo, hi);
+        };
+        if (opt == "--machine")
+            a.machine = need();
+        else if (opt == "--mode") {
+            a.mode = parseMode(need());
             a.modeSet = true;
-        } else if (rest[i] == "--insns") {
-            a.insns = std::strtoull(need("--insns").c_str(), nullptr, 10);
+        } else if (opt == "--insns") {
+            a.insns = count(1, kMaxU64);
             a.insnsSet = true;
-        } else if (rest[i] == "--timeout")
-            a.timeout = std::strtod(need("--timeout").c_str(), nullptr);
-        else if (rest[i] == "--save")
-            a.save = need("--save");
-        else if (rest[i] == "--json")
+        } else if (opt == "--timeout")
+            a.timeout = real(0, kMaxDouble);
+        else if (opt == "--save")
+            a.save = need();
+        else if (opt == "--json")
             a.json = true;
-        else if (rest[i] == "--trace")
-            a.tracePath = need("--trace");
-        else if (rest[i] == "--metrics-out")
-            a.metricsOut = need("--metrics-out");
-        else if (rest[i] == "--out")
-            a.out = need("--out");
-        else if (rest[i] == "--audit")
+        else if (opt == "--trace")
+            a.tracePath = need();
+        else if (opt == "--metrics-out")
+            a.metricsOut = need();
+        else if (opt == "--out")
+            a.out = need();
+        else if (opt == "--audit")
             a.audit = true;
-        else if (rest[i] == "--workloads")
-            a.workloads = need("--workloads");
-        else if (rest[i] == "--seeds")
-            a.seeds = need("--seeds");
-        else if (rest[i] == "--goldens")
-            a.goldens = need("--goldens");
-        else if (rest[i] == "--update-goldens")
+        else if (opt == "--workloads")
+            a.workloads = need();
+        else if (opt == "--seeds")
+            a.seeds = need();
+        else if (opt == "--goldens")
+            a.goldens = need();
+        else if (opt == "--update-goldens")
             a.updateGoldens = true;
-        else if (rest[i] == "--tol")
-            a.tol = std::strtod(need("--tol").c_str(), nullptr);
-        else if (rest[i] == "--modes")
-            a.modes = need("--modes");
-        else if (rest[i] == "--resume")
+        else if (opt == "--tol")
+            a.tol = real(0, kMaxDouble);
+        else if (opt == "--modes")
+            a.modes = need();
+        else if (opt == "--resume")
             a.resume = true;
-        else if (rest[i] == "--inspect")
+        else if (opt == "--inspect")
             a.inspect = true;
-        else if (rest[i] == "--timeout-seconds")
-            a.timeoutSeconds =
-                std::strtod(need("--timeout-seconds").c_str(), nullptr);
-        else if (rest[i] == "--drain-seconds")
-            a.drainSeconds =
-                std::strtod(need("--drain-seconds").c_str(), nullptr);
-        else if (rest[i] == "--retries")
-            a.retries = static_cast<unsigned>(
-                std::strtoul(need("--retries").c_str(), nullptr, 10));
-        else if (rest[i] == "--shards")
-            a.shards = static_cast<unsigned>(
-                std::strtoul(need("--shards").c_str(), nullptr, 10));
-        else if (rest[i] == "--max-restarts")
-            a.maxRestarts = static_cast<unsigned>(std::strtoul(
-                need("--max-restarts").c_str(), nullptr, 10));
-        else if (rest[i] == "--heartbeat-seconds")
-            a.heartbeatSeconds = std::strtod(
-                need("--heartbeat-seconds").c_str(), nullptr);
-        else if (rest[i] == "--no-redispatch")
+        else if (opt == "--timeout-seconds")
+            a.timeoutSeconds = real(0, kMaxDouble);
+        else if (opt == "--drain-seconds")
+            a.drainSeconds = real(0, 3600);
+        else if (opt == "--retries")
+            a.retries = static_cast<unsigned>(count(0, kMaxUnsigned));
+        else if (opt == "--shards")
+            a.shards = static_cast<unsigned>(count(0, kMaxShards));
+        else if (opt == "--max-restarts")
+            a.maxRestarts = static_cast<unsigned>(count(0, kMaxUnsigned));
+        else if (opt == "--heartbeat-seconds")
+            a.heartbeatSeconds = real(0, kMaxDouble);
+        else if (opt == "--no-redispatch")
             a.redispatch = false;
-        else if (rest[i] == "--journal")
-            a.journal = need("--journal");
-        else if (rest[i] == "--follow")
+        else if (opt == "--journal")
+            a.journal = need();
+        else if (opt == "--follow")
             a.follow = true;
-        else if (rest[i] == "--prom")
+        else if (opt == "--prom")
             a.prom = true;
-        else if (rest[i] == "--interval")
-            a.intervalSeconds =
-                std::strtod(need("--interval").c_str(), nullptr);
-        else if (rest[i] == "--socket")
-            a.socket = need("--socket");
-        else if (rest[i] == "--port")
-            a.port = static_cast<unsigned>(
-                std::strtoul(need("--port").c_str(), nullptr, 10));
-        else if (rest[i] == "--cache-mb")
-            a.cacheMb =
-                std::strtod(need("--cache-mb").c_str(), nullptr);
-        else if (rest[i] == "--get")
-            a.get = need("--get");
-        else if (rest[i] == "--stats")
+        else if (opt == "--interval")
+            a.intervalSeconds = real(0, kMaxDouble);
+        else if (opt == "--socket")
+            a.socket = need();
+        else if (opt == "--port")
+            a.port = static_cast<unsigned>(count(1, 65535));
+        else if (opt == "--cache-mb") {
+            a.cacheMb = real(0, kMaxDouble);
+            if (a.cacheMb == 0)
+                throw UsageError("--cache-mb must be positive");
+        } else if (opt == "--get") {
+            a.get = need();
+            if (a.get.empty() || a.get.size() > 16 ||
+                a.get.find_first_not_of("0123456789abcdefABCDEF") !=
+                    std::string::npos)
+                throw UsageError("--get wants a 1-16 digit hex key");
+        } else if (opt == "--stats")
             a.statsRequest = true;
-        else if (rest[i] == "--max-conns")
-            a.maxConns = static_cast<unsigned>(std::strtoul(
-                need("--max-conns").c_str(), nullptr, 10));
-        else if (rest[i] == "--sim-queue")
-            a.simQueue = static_cast<unsigned>(std::strtoul(
-                need("--sim-queue").c_str(), nullptr, 10));
-        else if (rest[i] == "--backlog")
-            a.backlog = static_cast<int>(std::strtol(
-                need("--backlog").c_str(), nullptr, 10));
-        else if (rest[i] == "--idle-timeout-seconds")
-            a.idleTimeoutSeconds = std::strtod(
-                need("--idle-timeout-seconds").c_str(), nullptr);
-        else if (rest[i] == "--read-timeout-seconds")
-            a.readTimeoutSeconds = std::strtod(
-                need("--read-timeout-seconds").c_str(), nullptr);
-        else if (rest[i] == "--write-timeout-seconds")
-            a.writeTimeoutSeconds = std::strtod(
-                need("--write-timeout-seconds").c_str(), nullptr);
-        else if (rest[i] == "--request-deadline-seconds")
-            a.requestDeadlineSeconds = std::strtod(
-                need("--request-deadline-seconds").c_str(), nullptr);
-        else if (rest[i] == "--compact-ratio")
-            a.compactRatio = std::strtod(
-                need("--compact-ratio").c_str(), nullptr);
-        else if (rest[i] == "--compact-min-records")
-            a.compactMinRecords = std::strtoull(
-                need("--compact-min-records").c_str(), nullptr, 10);
-        else if (rest[i] == "--profile")
+        else if (opt == "--max-conns")
+            a.maxConns = static_cast<unsigned>(count(0, kMaxUnsigned));
+        else if (opt == "--sim-queue")
+            a.simQueue = static_cast<unsigned>(count(0, kMaxUnsigned));
+        else if (opt == "--backlog")
+            a.backlog = static_cast<int>(
+                count(0, std::numeric_limits<int>::max()));
+        else if (opt == "--idle-timeout-seconds")
+            a.idleTimeoutSeconds = real(0, kMaxDouble);
+        else if (opt == "--read-timeout-seconds")
+            a.readTimeoutSeconds = real(0, kMaxDouble);
+        else if (opt == "--write-timeout-seconds")
+            a.writeTimeoutSeconds = real(0, kMaxDouble);
+        else if (opt == "--request-deadline-seconds")
+            a.requestDeadlineSeconds = real(0, kMaxDouble);
+        else if (opt == "--compact-ratio")
+            a.compactRatio = real(0, 1);
+        else if (opt == "--compact-min-records")
+            a.compactMinRecords = count(0, kMaxU64);
+        else if (opt == "--profile")
             a.profile = true;
         else
             throw UsageError(csprintf("unknown option '%s'",
-                                      rest[i].c_str()));
+                                      opt.c_str()));
     }
-    if (a.insns == 0)
-        fatal("--insns must be positive");
-    if (a.port > 65535)
-        fatal("--port must be in [1, 65535]");
-    if (a.cacheMb <= 0)
-        fatal("--cache-mb must be positive");
     // --profile arms the process-wide profiler that POWERCHOP_PROFILE
     // latched at global()'s first use; doing it in the option funnel
     // covers every subcommand with one line.
@@ -634,7 +669,7 @@ cmdVerify(const Args &a)
     if (!a.seeds.empty()) {
         for (const auto &s : splitList(a.seeds))
             matrix.faultSeeds.push_back(
-                std::strtoull(s.c_str(), nullptr, 10));
+                countFlag("--seeds", s, 0, kMaxU64));
     } else {
         // Fault-free plus one faulty seed: the differential contract
         // holds under injected faults too (both loops share the
@@ -919,12 +954,7 @@ cmdClient(const Args &a)
     if (a.statsRequest) {
         reply = client.stats();
     } else if (!a.get.empty()) {
-        char *end = nullptr;
-        const std::uint64_t key =
-            std::strtoull(a.get.c_str(), &end, 16);
-        if (a.get.empty() || !end || *end != '\0')
-            fatal("client: --get wants a hex content key");
-        reply = client.get(key);
+        reply = client.get(std::strtoull(a.get.c_str(), nullptr, 16));
     } else {
         // Matrix flags become a SIM spec with the same defaults as
         // `powerchop campaign`, so the served report matches a
