@@ -38,7 +38,6 @@ Translator::translate(BlockId head)
         t->blocks = p.blocks;
         t->staticInsts = p.staticInsts;
         t->hasSimd = p.hasSimd;
-        ++made_;
         return t;
     }
 
@@ -63,7 +62,6 @@ Translator::translate(BlockId head)
         cur = next;
     }
 
-    ++made_;
     return t;
 }
 

@@ -61,13 +61,10 @@ class Translator
      */
     void setPrebuilt(const TranslationMetadataSet *set);
 
-    std::uint64_t translationsMade() const { return made_; }
-
   private:
     const Program &program_;
     TranslatorParams params_;
     const TranslationMetadataSet *prebuilt_ = nullptr;
-    std::uint64_t made_ = 0;
 };
 
 } // namespace powerchop

@@ -126,8 +126,6 @@ class JournalWriter
     /** Flush and fsync any buffered data (no-op when clean). */
     void flush();
 
-    const std::string &path() const { return path_; }
-
     /** Records appended through this writer. */
     std::size_t appended() const { return appended_; }
 

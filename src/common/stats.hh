@@ -90,7 +90,6 @@ class Distribution
     void sample(double v);
 
     std::uint64_t bucketCount(unsigned i) const;
-    unsigned numBuckets() const { return buckets_.size(); }
     std::uint64_t totalSamples() const { return samples_; }
     std::uint64_t underflows() const { return underflow_; }
     std::uint64_t overflows() const { return overflow_; }

@@ -61,7 +61,6 @@ class TimeoutGater
      */
     double checkIdle(double now);
 
-    bool vpuOn() const { return vpu_.on(); }
     std::uint64_t switches() const { return switches_; }
     double gatedCycles() const { return gatedCycles_; }
 

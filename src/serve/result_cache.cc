@@ -31,19 +31,20 @@ ResultCache::ResultCache(const ResultCacheOptions &opts)
     if (opts.journalPath.empty())
         return;
     // Replay before opening the writer for append: loadJournal
-    // dedups last-write-wins, and insertion through the normal
-    // (journal-less) path reproduces LRU order = append order.
+    // dedups last-write-wins (each key appears once), and insertion
+    // through the normal (journal-less) path reproduces LRU order =
+    // append order.
     const JournalReplay replay =
         loadJournalIfPresent(opts.journalPath);
+    corrupted_ = replay.corrupted;
+    truncated_ = replay.truncated;
     for (const JournalRecord &rec : replay.records) {
         if (rec.status != "ok")
             continue;
         Shard &sh = shardFor(rec.key);
         std::lock_guard<std::mutex> lock(sh.mutex);
-        if (sh.index.find(rec.key) == sh.index.end()) {
-            insertLocked(sh, rec.key, rec.payload);
-            ++warmStarted_;
-        }
+        insertLocked(sh, rec.key, rec.payload);
+        ++warmStarted_;
     }
     // Warm-start admissions are replays, not traffic: the counters
     // must describe what the daemon served, not what it remembered.
@@ -55,12 +56,28 @@ ResultCache::ResultCache(const ResultCacheOptions &opts)
         live += sh.lru.size();
     }
     // Every physical line not backing a resident entry — superseded,
-    // corrupt, torn, or evicted during replay — is dead weight a
-    // compaction would shed.
+    // non-ok, corrupt, torn, or evicted during replay — is dead
+    // weight a compaction would shed.
     journalRecords_.store(replay.lines, std::memory_order_relaxed);
     journalDead_.store(replay.lines > live ? replay.lines - live : 0,
                        std::memory_order_relaxed);
-    journal_ = std::make_unique<JournalWriter>(opts.journalPath);
+    openJournalLocked();
+}
+
+void
+ResultCache::openJournalLocked()
+{
+    journal_ = std::make_unique<JournalWriter>(journalPath_);
+    journal_->setFlushLatencyHistogram(flushLatencyNs_);
+}
+
+void
+ResultCache::setFlushLatencyHistogram(stats::Log2Histogram *hist)
+{
+    std::lock_guard<std::mutex> jlock(journalMutex_);
+    flushLatencyNs_ = hist;
+    if (journal_)
+        journal_->setFlushLatencyHistogram(hist);
 }
 
 ResultCache::Shard &
@@ -130,19 +147,36 @@ ResultCache::put(std::uint64_t key, const std::string &payload)
             fresh = true;
         }
     }
-    if (fresh && journal_) {
-        // Write-ahead relative to serving future restarts: the
-        // record is durable (append fsyncs) before put() returns,
-        // so a daemon killed any time later still warm-starts it.
-        JournalRecord rec;
-        rec.key = key;
-        rec.status = "ok";
-        rec.payload = payload;
-        std::lock_guard<std::mutex> jlock(journalMutex_);
-        journal_->append(rec);
-        journalRecords_.fetch_add(1, std::memory_order_relaxed);
-        maybeCompactLocked();
-    }
+    if (fresh)
+        append(key, "ok", payload, true);
+}
+
+void
+ResultCache::putFailure(std::uint64_t key, const std::string &status,
+                        const std::string &payload)
+{
+    append(key, status, payload, false);
+}
+
+void
+ResultCache::append(std::uint64_t key, const std::string &status,
+                    const std::string &payload, bool live)
+{
+    if (journalPath_.empty())
+        return;
+    // Write-ahead relative to future restarts: the record is durable
+    // (append fsyncs) before put()/putFailure() returns, so a process
+    // killed any time later still replays it.
+    JournalRecord rec;
+    rec.key = key;
+    rec.status = status;
+    rec.payload = payload;
+    std::lock_guard<std::mutex> jlock(journalMutex_);
+    journal_->append(rec);
+    journalRecords_.fetch_add(1, std::memory_order_relaxed);
+    if (!live)
+        journalDead_.fetch_add(1, std::memory_order_relaxed);
+    maybeCompactLocked();
 }
 
 void
@@ -187,21 +221,13 @@ ResultCache::maybeCompactLocked()
                     "cache journal compaction of %s failed; "
                     "continuing with the uncompacted journal",
                     journalPath_.c_str());
-        journal_ = std::make_unique<JournalWriter>(journalPath_);
+        openJournalLocked();
         return;
     }
-    journal_ = std::make_unique<JournalWriter>(journalPath_);
+    openJournalLocked();
     journalRecords_.store(live, std::memory_order_relaxed);
     journalDead_.store(0, std::memory_order_relaxed);
     compactions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-ResultCache::flushJournal()
-{
-    std::lock_guard<std::mutex> jlock(journalMutex_);
-    if (journal_)
-        journal_->flush();
 }
 
 ResultCacheStats

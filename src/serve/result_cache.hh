@@ -1,18 +1,25 @@
 /**
  * @file
- * The powerchopd result cache: a sharded, byte-bounded LRU over
- * simulation result payloads, keyed by campaign content keys.
+ * The result store: a sharded, byte-bounded LRU over simulation
+ * result payloads, keyed by campaign content keys, and the only
+ * writer of result journals.
  *
- * The serving plane memoizes finished simulations: the PR 5 content
- * key (campaignJobKey()) already names a job by everything that can
- * change its result, so one SimResult JSON payload per key is a
- * complete, stale-proof cache entry. The cache is sharded by key so
- * concurrent connections rarely contend on one mutex, bounded by
- * payload bytes with per-shard LRU eviction, and (optionally) backed
- * by the campaign journal format (common/journal.hh): every insert is
- * appended write-ahead to `journalPath`, and a restarted daemon warm-
- * starts by replaying that journal, so a SIGKILL loses nothing that
- * was ever served.
+ * The content key (campaignJobKey()) names a job by everything that
+ * can change its result, so one SimResult JSON payload per key is a
+ * complete, stale-proof entry. Every plane that runs the evaluation
+ * matrix records through this store: a campaign opens it on its
+ * journal.jsonl, a campaign-worker on its shard journal (both with
+ * no eviction and no compaction), and powerchopd on its cache.jsonl.
+ * The store is sharded by key so concurrent connections rarely
+ * contend on one mutex, bounded by payload bytes with per-shard LRU
+ * eviction, and (optionally) backed by the journal format
+ * (common/journal.hh): every insert is appended write-ahead to
+ * `journalPath`, and a reopened store warm-starts by replaying that
+ * journal, so a SIGKILL loses nothing that was ever recorded.
+ *
+ * Failed and timed-out outcomes are journaled too (putFailure()), as
+ * history: they never enter the LRU and warm start skips them, so
+ * such a job reruns — exactly as a resumed campaign treats them.
  *
  * Durability invariant: between compactions the journal is an
  * append-only *superset* of the in-memory cache — eviction frees
@@ -47,6 +54,7 @@
 #include <vector>
 
 #include "common/journal.hh"
+#include "common/stats.hh"
 
 namespace powerchop
 {
@@ -66,8 +74,9 @@ struct ResultCacheOptions
      *  disables durability (a purely in-memory cache). */
     std::string journalPath;
 
-    /** Compact the journal when dead records (evicted or duplicate)
-     *  exceed this fraction of the file; <= 0 disables compaction. */
+    /** Compact the journal when dead records (evicted, duplicate or
+     *  non-ok) exceed this fraction of the file; <= 0 disables
+     *  compaction. */
     double compactDeadRatio = 0.5;
 
     /** Never compact a journal smaller than this many records —
@@ -120,15 +129,31 @@ class ResultCache
      */
     void put(std::uint64_t key, const std::string &payload);
 
+    /**
+     * Durably journal a terminal non-ok outcome: `status` is its
+     * JobStatus name ("failed", "timed-out") and `payload` its
+     * single-line error object. The record is history, not a result:
+     * it is never admitted to the LRU (get() keeps missing) and warm
+     * start skips it, so the job reruns. No-op without a journal.
+     */
+    void putFailure(std::uint64_t key, const std::string &status,
+                    const std::string &payload);
+
     /** Aggregate counters over all shards. */
     ResultCacheStats stats() const;
 
     /** Records admitted from the journal at construction. */
     std::size_t warmStarted() const { return warmStarted_; }
 
-    /** Flush (fsync) the journal; drain-time belt-and-braces — every
-     *  append already fsyncs before put() returns. */
-    void flushJournal();
+    /** Journal lines the construction-time replay dropped as corrupt
+     *  (interior CRC failures) or torn (a truncated final line). @{ */
+    std::size_t corruptedRecords() const { return corrupted_; }
+    std::size_t truncatedRecords() const { return truncated_; }
+    /** @} */
+
+    /** Sample every journal fsync into `hist` (nanoseconds); the
+     *  histogram must outlive the store, nullptr detaches. */
+    void setFlushLatencyHistogram(stats::Log2Histogram *hist);
 
   private:
     struct Entry
@@ -154,6 +179,9 @@ class ResultCache
     Shard &shardFor(std::uint64_t key);
     void insertLocked(Shard &sh, std::uint64_t key,
                       const std::string &payload);
+    void append(std::uint64_t key, const std::string &status,
+                const std::string &payload, bool live);
+    void openJournalLocked();
     void maybeCompactLocked();
 
     std::size_t shardBudget_;
@@ -168,11 +196,13 @@ class ResultCache
      *  shard lock before journaling. */
     std::mutex journalMutex_;
     std::unique_ptr<JournalWriter> journal_;
+    stats::Log2Histogram *flushLatencyNs_ = nullptr;
     /** Written under journalMutex_, read lock-free by stats(). */
     std::atomic<std::uint64_t> journalRecords_{0};
     std::atomic<std::uint64_t> journalDead_{0};
     std::atomic<std::uint64_t> compactions_{0};
     std::size_t warmStarted_ = 0;
+    std::size_t corrupted_ = 0, truncated_ = 0;
 };
 
 } // namespace powerchop

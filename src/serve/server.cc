@@ -1,10 +1,10 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <set>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -64,6 +64,13 @@ parseStringList(const json::Value &doc, const char *key,
     for (const json::Value &v : arr->elements()) {
         if (!v.isString()) {
             err = csprintf("\"%s\" entries must be strings", key);
+            return false;
+        }
+        // Distinct names expand to distinct content keys; a repeat
+        // is refused here, before campaignJobKeys() would fatal().
+        if (std::find(out.begin(), out.end(), v.asString()) != out.end()) {
+            err = csprintf("duplicate \"%s\" entry \"%s\"", key,
+                           v.asString().c_str());
             return false;
         }
         out.push_back(v.asString());
@@ -476,89 +483,59 @@ SimServer::handleSim(const std::string &specJson,
         return ResponseStatus::Err;
     }
 
-    CampaignResult result;
-    result.keys.reserve(jobs.size());
-    std::set<std::uint64_t> seen;
-    for (const SimJob &job : jobs) {
-        const std::uint64_t key = campaignJobKey(job);
-        if (!seen.insert(key).second) {
-            payload = csprintf("duplicate matrix entry (key "
-                               "%016llx)\n",
-                               static_cast<unsigned long long>(key));
+    // Lookup first: a fully cached SIM never queues, never sheds.
+    BatchLookup lookup = lookupBatch(cache_, jobs, {});
+    if (lookup.pending.empty()) {
+        payload = lookup.result.reportJson();
+        return ResponseStatus::Hit;
+    }
+
+    // Misses run through the shared runner, which must be driven
+    // from one thread at a time, so SIM misses serialize here;
+    // GET/STATS traffic never waits on this. Admission control
+    // bounds the line at that door.
+    const MonotonicDeadline deadline(opts_.requestDeadlineSeconds);
+    if (simWaiters_.fetch_add(1, std::memory_order_acq_rel) >=
+            opts_.simQueueDepth &&
+        opts_.simQueueDepth > 0) {
+        simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
+        shedRequests_.fetch_add(1, std::memory_order_relaxed);
+        payload = csprintf(
+            "sim admission queue full (%u deep): retry after "
+            "backoff\n",
+            opts_.simQueueDepth);
+        return ResponseStatus::Busy;
+    }
+
+    // A request that cannot reach the runner before its wall
+    // deadline is cancelled while still in line.
+    std::unique_lock<std::timed_mutex> lock(simMutex_, std::defer_lock);
+    if (deadline.armed()) {
+        if (!lock.try_lock_for(std::chrono::duration<double>(
+                deadline.remainingSeconds()))) {
+            simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
+            deadlineCancels_.fetch_add(1, std::memory_order_relaxed);
+            payload = csprintf(
+                "deadline: request exceeded the %.3fs wall "
+                "deadline waiting for the runner\n",
+                opts_.requestDeadlineSeconds);
             return ResponseStatus::Err;
         }
-        result.keys.push_back(key);
-    }
-    result.outcomes.resize(jobs.size());
-    result.payloads.resize(jobs.size());
-
-    // Cache pass: hits fill their slots immediately.
-    std::vector<std::size_t> missIdx;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (cache_.get(result.keys[i], &result.payloads[i])) {
-            result.outcomes[i].status = JobStatus::Ok;
-            ++result.replayed;
-        } else {
-            missIdx.push_back(i);
-        }
+    } else {
+        lock.lock();
     }
 
-    // Miss pass: execute fresh jobs through the shared runner.
-    // The pool must be driven from one thread at a time, so SIM
-    // misses serialize here; GET/STATS traffic never waits on this.
-    // Admission control bounds the line at that door: fully cached
-    // SIMs answered above never queue, never shed.
-    if (!missIdx.empty()) {
-        const MonotonicDeadline deadline(
-            opts_.requestDeadlineSeconds);
-        if (opts_.simQueueDepth > 0 &&
-            simWaiters_.fetch_add(1, std::memory_order_acq_rel) >=
-                opts_.simQueueDepth) {
-            simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
-            shedRequests_.fetch_add(1, std::memory_order_relaxed);
-            payload = csprintf(
-                "sim admission queue full (%u deep): retry after "
-                "backoff\n",
-                opts_.simQueueDepth);
-            return ResponseStatus::Busy;
-        }
-        if (opts_.simQueueDepth == 0)
-            simWaiters_.fetch_add(1, std::memory_order_acq_rel);
-
-        std::vector<SimJob> missJobs;
-        missJobs.reserve(missIdx.size());
-        for (std::size_t i : missIdx)
-            missJobs.push_back(jobs[i]);
-
-        // A request that cannot reach the runner before its wall
-        // deadline is cancelled while still in line.
-        std::unique_lock<std::timed_mutex> lock(simMutex_,
-                                                std::defer_lock);
-        if (deadline.armed()) {
-            if (!lock.try_lock_for(std::chrono::duration<double>(
-                    deadline.remainingSeconds()))) {
-                simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
-                deadlineCancels_.fetch_add(
-                    1, std::memory_order_relaxed);
-                payload = csprintf(
-                    "deadline: request exceeded the %.3fs wall "
-                    "deadline waiting for the runner\n",
-                    opts_.requestDeadlineSeconds);
-                return ResponseStatus::Err;
-            }
-        } else {
-            lock.lock();
-        }
-
-        // Cooperative cancel: an alarm thread watches the wall
-        // deadline and the drain hard-stop; either raises the
-        // cancel flag the runner polls at block boundaries.
-        RobustRunOptions ropts;
-        ropts.timeoutSeconds = opts_.jobTimeoutSeconds;
-        std::atomic<bool> cancel{false};
-        std::atomic<bool> alarmStop{false};
-        ropts.cancelFlag = &cancel;
-        std::thread alarm([&] {
+    // Cooperative cancel: the drain hard-stop cancels in-flight
+    // jobs at the next block boundary. With a wall deadline armed,
+    // an alarm thread raises a private flag on either condition.
+    CampaignOptions copts;
+    copts.timeoutSeconds = opts_.jobTimeoutSeconds;
+    copts.drainSeconds = 0;
+    std::atomic<bool> cancel{false}, alarmStop{false};
+    copts.interruptFlag = deadline.armed() ? &cancel : &hardStop_;
+    std::thread alarm;
+    if (deadline.armed()) {
+        alarm = std::thread([&] {
             while (!alarmStop.load(std::memory_order_relaxed)) {
                 if (deadline.expired() ||
                     hardStop_.load(std::memory_order_relaxed)) {
@@ -569,42 +546,35 @@ SimServer::handleSim(const std::string &specJson,
                     std::chrono::milliseconds(5));
             }
         });
-        RobustBatchResult batch = runner_.runRobust(missJobs, ropts);
+    }
+    // Jobs that finish before a cancel still count: their results
+    // are real and recorded.
+    const CampaignResult result =
+        runAndRecordBatch(runner_, cache_, jobs, std::move(lookup), copts);
+    if (alarm.joinable()) {
         alarmStop.store(true, std::memory_order_relaxed);
         alarm.join();
-        lock.unlock();
-        simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
-
-        for (std::size_t j = 0; j < missIdx.size(); ++j) {
-            const std::size_t i = missIdx[j];
-            result.outcomes[i] = batch.outcomes[j];
-            if (batch.outcomes[j].status == JobStatus::Ok) {
-                // Rendered exactly once, here; every later hit
-                // serves these bytes verbatim. Jobs that finished
-                // before a deadline cancel still count: their
-                // results are real and cacheable.
-                result.payloads[i] = batch.results[j].toJson();
-                cache_.put(result.keys[i], result.payloads[i]);
-            }
-        }
-        result.executed = missIdx.size();
-        simulatedJobs_.fetch_add(missIdx.size(),
-                                 std::memory_order_relaxed);
-        if (deadline.expired() && batch.resumableCount() > 0) {
-            deadlineCancels_.fetch_add(1, std::memory_order_relaxed);
-            payload = csprintf(
-                "deadline: SIM exceeded the %.3fs wall deadline "
-                "(%zu of %zu fresh jobs cancelled; finished jobs "
-                "were cached)\n",
-                opts_.requestDeadlineSeconds,
-                batch.resumableCount(), missIdx.size());
-            return ResponseStatus::Err;
-        }
     }
+    lock.unlock();
+    simWaiters_.fetch_sub(1, std::memory_order_acq_rel);
+    simulatedJobs_.fetch_add(result.executed, std::memory_order_relaxed);
 
+    std::size_t cancelled = 0;
+    for (const JobOutcome &o : result.outcomes) {
+        cancelled += o.status == JobStatus::Skipped ||
+                     o.status == JobStatus::Interrupted;
+    }
+    if (deadline.expired() && cancelled > 0) {
+        deadlineCancels_.fetch_add(1, std::memory_order_relaxed);
+        payload = csprintf(
+            "deadline: SIM exceeded the %.3fs wall deadline "
+            "(%zu of %zu fresh jobs cancelled; finished jobs "
+            "were cached)\n",
+            opts_.requestDeadlineSeconds, cancelled, result.executed);
+        return ResponseStatus::Err;
+    }
     payload = result.reportJson();
-    return missIdx.empty() ? ResponseStatus::Hit
-                           : ResponseStatus::Ok;
+    return ResponseStatus::Ok;
 }
 
 void
@@ -823,10 +793,8 @@ SimServer::run()
         ::unlink(opts_.socketPath.c_str());
     drainConnections();
 
-    // Everything served is already fsync'd record-by-record; this
-    // is the drain-time belt-and-braces flush before the final
-    // statusboard snapshot goes out.
-    cache_.flushJournal();
+    // Everything served is already fsync'd record-by-record, so no
+    // journal flush is owed before the final statusboard snapshot.
     if (statusThread.joinable()) {
         statusStop.store(true, std::memory_order_relaxed);
         statusThread.join();

@@ -5,10 +5,13 @@
  * The daemon binds a Unix-domain (or loopback TCP) socket, accepts
  * protocol.hh requests on a thread per connection, and serves them
  * from the content-keyed ResultCache: a GET hit or a fully cached SIM
- * matrix costs a hash lookup; misses execute through the existing
- * SimJobRunner machinery (serialized — the runner is a single-driver
- * pool) and are inserted write-ahead into the cache journal before
- * the response leaves the socket.
+ * matrix costs a hash lookup. A SIM goes through the campaign batch
+ * core (campaign.hh): lookupBatch() before admission, then, for the
+ * misses, runAndRecordBatch() on the runner (serialized — the runner
+ * is a single-driver pool), which records every terminal outcome
+ * write-ahead in the cache journal before the response leaves the
+ * socket. That journal is therefore a campaign journal: copied into
+ * a campaign directory as journal.jsonl, it resumes the campaign.
  *
  * Byte-identity guarantee: a SIM response's payload is the
  * CampaignResult::reportJson() of the requested matrix, with per-job
@@ -157,9 +160,6 @@ class SimServer
     /** Serve until the stop flag rises. One call per server. */
     ServeReport run();
 
-    /** The bound TCP port (after construction; 0 for Unix). */
-    unsigned short boundPort() const { return boundPort_; }
-
   private:
     struct Conn
     {
@@ -200,7 +200,7 @@ class SimServer
     std::atomic<bool> draining_{false};
 
     /** Rises at the drain deadline: cooperatively cancels whatever
-     *  SIM is still in flight (wired into RobustRunOptions). */
+     *  SIM is still in flight (the batch core's interrupt flag). */
     std::atomic<bool> hardStop_{false};
 
     std::mutex connMutex_;

@@ -390,61 +390,60 @@ CampaignStatus::snapshot(bool finished)
     return snap;
 }
 
-CampaignResult
-runJournaledBatch(SimJobRunner &runner, const std::vector<SimJob> &jobs,
-                  const std::string &journalPath,
-                  const CampaignOptions &opts, CampaignStatus *status)
+ResultCacheOptions
+campaignStoreOptions(const std::string &journalPath)
 {
-    CampaignResult result;
-    CampaignKeyIndex index;
-    result.keys = campaignJobKeys(jobs, &index);
+    return {.maxBytes = SIZE_MAX,
+            .journalPath = journalPath,
+            .compactDeadRatio = 0};
+}
+
+BatchLookup
+lookupBatch(ResultCache &store, const std::vector<SimJob> &jobs,
+            const CampaignOptions &opts)
+{
+    BatchLookup lookup;
+    CampaignResult &result = lookup.result;
+    result.keys = campaignJobKeys(jobs);
     result.outcomes.resize(jobs.size());
     result.payloads.resize(jobs.size());
-
-    // Replay: only ok records satisfy a job; failed and timed-out
-    // records document history but rerun.
-    const JournalReplay replay = loadJournalIfPresent(journalPath);
-    result.corruptedRecords = replay.corrupted;
-    result.truncatedRecords = replay.truncated;
-    for (const auto &rec : replay.records) {
-        const auto it = index.find(rec.key);
-        if (it == index.end()) {
-            ++result.staleRecords;
+    result.corruptedRecords = store.corruptedRecords();
+    result.truncatedRecords = store.truncatedRecords();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!store.get(result.keys[i], &result.payloads[i])) {
+            lookup.pending.push_back(i);
             continue;
         }
-        JobStatus st;
-        if (!jobStatusFromName(rec.status, st) || st != JobStatus::Ok)
-            continue;
-        const std::size_t i = it->second;
-        result.outcomes[i].status = JobStatus::Ok;
-        result.outcomes[i].attempts = 0; // replayed
-        result.payloads[i] = rec.payload;
+        result.outcomes[i].attempts = 0; // replayed (status Ok)
         ++result.replayed;
         if (opts.onJobDone)
-            opts.onJobDone(rec.key, result.outcomes[i]);
+            opts.onJobDone(result.keys[i], result.outcomes[i]);
     }
+    return lookup;
+}
 
-    // Pending jobs: everything the journal did not satisfy.
-    std::vector<SimJob> pending;
-    std::vector<std::size_t> pendingIndex;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (result.payloads[i].empty()) {
-            pending.push_back(jobs[i]);
-            pendingIndex.push_back(i);
-        }
-    }
-    result.executed = pending.size();
+CampaignResult
+runAndRecordBatch(SimJobRunner &runner, ResultCache &store,
+                  const std::vector<SimJob> &jobs, BatchLookup lookup,
+                  const CampaignOptions &opts, CampaignStatus *status)
+{
+    CampaignResult &result = lookup.result;
+    const std::vector<std::size_t> &pendingIndex = lookup.pending;
+    result.executed = pendingIndex.size();
 
     const std::atomic<bool> *interrupt =
         opts.interruptFlag ? opts.interruptFlag
                            : &campaignInterruptFlag();
-    if (status)
+    if (status) {
         status->begin(jobs.size(), result.replayed);
+        store.setFlushLatencyHistogram(status->fsyncLatencyNs());
+    }
 
-    if (!pending.empty()) {
-        JournalWriter writer(journalPath);
-        if (status)
-            writer.setFlushLatencyHistogram(status->fsyncLatencyNs());
+    if (!pendingIndex.empty()) {
+        std::vector<SimJob> pending;
+        pending.reserve(pendingIndex.size());
+        for (std::size_t i : pendingIndex)
+            pending.push_back(jobs[i]);
 
         std::atomic<std::size_t> done{0};
         RobustRunOptions robust;
@@ -456,23 +455,24 @@ runJournaledBatch(SimJobRunner &runner, const std::vector<SimJob> &jobs,
                                 const JobOutcome &outcome) {
             // Write-ahead: the record is durable (fsync'd) before
             // the job counts as done. Resumable states (skipped /
-            // interrupted) journal nothing — they carry no result
+            // interrupted) record nothing — they carry no result
             // and rerun on resume.
-            const std::uint64_t key = result.keys[pendingIndex[pi]];
+            const std::size_t i = pendingIndex[pi];
+            const std::uint64_t key = result.keys[i];
             if (opts.preJournal)
                 opts.preJournal(key, outcome);
-            JournalRecord rec;
-            rec.key = key;
-            rec.status = jobStatusName(outcome.status);
             switch (outcome.status) {
               case JobStatus::Ok:
-                rec.payload = res.toJson();
-                writer.append(rec);
+                // Rendered exactly once: the record and the result
+                // hold the same bytes, and every later hit serves
+                // them verbatim.
+                result.payloads[i] = res.toJson();
+                store.put(key, result.payloads[i]);
                 break;
               case JobStatus::Failed:
               case JobStatus::TimedOut:
-                rec.payload = errorPayload(outcome);
-                writer.append(rec);
+                store.putFailure(key, jobStatusName(outcome.status),
+                                 errorPayload(outcome));
                 break;
               case JobStatus::Skipped:
               case JobStatus::Interrupted:
@@ -499,17 +499,12 @@ runJournaledBatch(SimJobRunner &runner, const std::vector<SimJob> &jobs,
 
         const RobustBatchResult batch =
             runner.runRobust(pending, robust);
-        for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-            const std::size_t i = pendingIndex[pi];
-            result.outcomes[i] = batch.outcomes[pi];
-            if (batch.outcomes[pi].status == JobStatus::Ok)
-                result.payloads[i] = batch.results[pi].toJson();
-        }
+        for (std::size_t pi = 0; pi < pending.size(); ++pi)
+            result.outcomes[pendingIndex[pi]] = batch.outcomes[pi];
 
-        // Interrupted-exit hygiene: drain the flush hooks exactly
-        // once (the journal disarms after flushing, so a fatal()
-        // fired later cannot double-flush), then close the journal.
-        writer.flush();
+        // Interrupted-exit hygiene: every record is fsync'd as it is
+        // appended; drain the flush hooks a failed append armed
+        // exactly once, so a fatal() fired later cannot double-flush.
         drainFlushHooks();
     }
 
@@ -520,7 +515,16 @@ runJournaledBatch(SimJobRunner &runner, const std::vector<SimJob> &jobs,
                         return o.status == JobStatus::Skipped ||
                                o.status == JobStatus::Interrupted;
                     });
-    return result;
+    return std::move(result);
+}
+
+CampaignResult
+runJournaledBatch(SimJobRunner &runner, ResultCache &store,
+                  const std::vector<SimJob> &jobs,
+                  const CampaignOptions &opts, CampaignStatus *status)
+{
+    return runAndRecordBatch(runner, store, jobs,
+                             lookupBatch(store, jobs, opts), opts, status);
 }
 
 CampaignResult
@@ -553,8 +557,12 @@ runCampaign(SimJobRunner &runner, const std::vector<SimJob> &jobs,
             campaignStatusPath(dir), "campaign", "campaign", runner);
     }
 
+    ResultCache store(campaignStoreOptions(journal_path));
     CampaignResult result =
-        runJournaledBatch(runner, jobs, journal_path, opts, status.get());
+        runJournaledBatch(runner, store, jobs, opts, status.get());
+    // Every ok record the store replayed that satisfied no job is
+    // stale (nothing was put before the lookup).
+    result.staleRecords = store.warmStarted() - result.replayed;
     if (result.staleRecords > 0) {
         warn("campaign: %zu journal records match no current job "
              "(spec or machine config changed); they were ignored and "

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/hash.hh"
-#include "common/journal.hh"
+#include "serve/result_cache.hh"
 #include "sim/sim_runner.hh"
 #include "sim/statusboard.hh"
 
@@ -77,14 +77,14 @@ std::vector<SimJob> expandCampaignMatrix(
     const std::vector<SimMode> &modes, InsnCount insns,
     double timeoutCycles);
 
-/** Campaign execution knobs and hooks (runCampaign(),
- *  runJournaledBatch()). */
+/** Campaign execution knobs and hooks (runCampaign() and the batch
+ *  core: lookupBatch(), runAndRecordBatch()). */
 struct CampaignOptions
 {
     /** Resume from an existing journal. Without this flag a campaign
      *  directory that already holds a journal is refused (fatal), so
      *  accidental reuse cannot silently mix unrelated sweeps.
-     *  runCampaign() only: a batch always replays its journal. */
+     *  runCampaign() only: a batch always starts from its store. */
     bool resume = false;
 
     /** Per-job stuck-run watchdog in wall-clock seconds; 0 disables.
@@ -122,9 +122,9 @@ struct CampaignOptions
         preJournal;
 
     /** Invoked once per job as it settles: after its terminal record
-     *  is durable (or, for a resumable outcome, in place of one), and
-     *  for each job an ok journal record satisfies during replay
-     *  (attempts 0). The campaign-worker's protocol emission. Must be
+     *  is durable (or, for a resumable outcome, in place of one), and,
+     *  in job order, for each job the store already holds (attempts
+     *  0). The campaign-worker's protocol emission. Must be
      *  thread-safe. */
     std::function<void(std::uint64_t key, const JobOutcome &)> onJobDone;
 };
@@ -157,9 +157,10 @@ struct CampaignResult
     /** Jobs dispatched to the runner this invocation. */
     std::size_t executed = 0;
 
-    /** Journal records whose key matched no current job (stale:
+    /** Ok journal records whose key matched no current job (stale:
      *  the spec or a MachineConfig changed since they were
-     *  written). They are ignored, never merged. */
+     *  written). They are ignored, never merged. runCampaign()
+     *  only. */
     std::size_t staleRecords = 0;
 
     /** Journal lines dropped as corrupt or torn. */
@@ -197,7 +198,7 @@ struct CampaignResult
 /**
  * Run (or resume) a campaign.
  *
- * Creates `dir` if needed, runs runJournaledBatch() against
+ * Creates `dir` if needed, runs runJournaledBatch() on a store over
  * `dir`/journal.jsonl (refusing a journal without opts.resume and a
  * resume without a journal), and atomically rewrites
  * `dir`/report.json from the merged results.
@@ -236,7 +237,7 @@ class CampaignStatus
     CampaignStatus(const CampaignStatus &) = delete;
     CampaignStatus &operator=(const CampaignStatus &) = delete;
 
-    /** Batch events (runJournaledBatch()). begin() also starts the
+    /** Batch events (runAndRecordBatch()). begin() also starts the
      *  heartbeat thread. Thread-safe. @{ */
     void begin(std::size_t jobs, std::size_t replayed);
     void jobStarted(std::uint64_t key);
@@ -269,26 +270,59 @@ class CampaignStatus
     std::thread heartbeat_;
 };
 
+/** The store of a campaign or a campaign-worker: `journalPath`
+ *  with no eviction and no compaction, so every replayed result stays
+ *  resident and the journal only grows. */
+ResultCacheOptions campaignStoreOptions(const std::string &journalPath);
+
+/** What lookupBatch() found: the per-job result so far and the jobs
+ *  still to run. */
+struct BatchLookup
+{
+    /** Keys for every job; outcomes and payloads for store hits
+     *  (replayed), plus the store's replay tallies. */
+    CampaignResult result;
+
+    /** Indices (into the jobs) of the misses, in job order. */
+    std::vector<std::size_t> pending;
+};
+
 /**
- * The write-ahead batch loop every campaign runs through: the
- * in-process runCampaign() and each campaign-worker process.
+ * The lookup step of the batch core every plane runs through: the
+ * in-process runCampaign(), each campaign-worker process and
+ * powerchopd's SIM handler.
  *
- * Derives the jobs' content keys (campaignJobKeys()), replays
- * `journalPath` when it exists — an ok record satisfies its job,
- * failed and timed-out records rerun, records matching no job count
- * as stale — and runs the rest on `runner`. Each terminal outcome is
- * appended and fsync'd before the job counts as done; resumable
- * outcomes (skipped, interrupted) journal nothing and rerun next
- * time. The journal file is created before the first job runs, and
- * only when a job is pending.
+ * Derives the jobs' content keys (campaignJobKeys(), which refuses
+ * duplicates with fatal()), satisfies each job the store holds — an
+ * ok record; failed and timed-out records are history and rerun —
+ * and lists the rest as pending. opts.onJobDone fires for each hit.
+ */
+BatchLookup lookupBatch(ResultCache &store, const std::vector<SimJob> &jobs,
+                        const CampaignOptions &opts);
+
+/**
+ * The run-and-record step of the batch core: runs the pending jobs
+ * on `runner` and records each terminal outcome in the store before
+ * the job counts as done (an ok result through put(), rendered once
+ * for the record and the result alike; failed and timed-out ones
+ * through putFailure()). Resumable outcomes (skipped, interrupted)
+ * record nothing and rerun next time.
  *
- * @param status Live status tracker, or nullptr for none.
+ * @param status Live status tracker, or nullptr for none; it must
+ *               outlive the store, which samples journal fsyncs into
+ *               its histogram.
  * @return per-job keys, outcomes and payloads in `jobs` order, plus
  *         the replay tallies; the caller renders any report.
  */
-CampaignResult runJournaledBatch(SimJobRunner &runner,
+CampaignResult runAndRecordBatch(SimJobRunner &runner, ResultCache &store,
                                  const std::vector<SimJob> &jobs,
-                                 const std::string &journalPath,
+                                 BatchLookup lookup,
+                                 const CampaignOptions &opts,
+                                 CampaignStatus *status = nullptr);
+
+/** lookupBatch() then runAndRecordBatch(): a whole campaign batch. */
+CampaignResult runJournaledBatch(SimJobRunner &runner, ResultCache &store,
+                                 const std::vector<SimJob> &jobs,
                                  const CampaignOptions &opts,
                                  CampaignStatus *status = nullptr);
 

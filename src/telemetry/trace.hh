@@ -165,11 +165,6 @@ class TraceRecorder
             nowCycles_ += delta;
     }
 
-    /** The recorder's current clock (for advancing components). @{ */
-    InsnCount nowInsns() const { return nowInsns_; }
-    Cycles nowCycles() const { return nowCycles_; }
-    /** @} */
-
     /** Typed emitters; each checks its class switch and the cap. @{ */
     void gateState(GateUnit unit, std::uint64_t state,
                    double stall_cycles);

@@ -119,10 +119,6 @@ class BpuComplex
             out.targetMiss = largeOn_ ? !large_hit : !small_hit;
         }
 
-        if (out.directionMispredict)
-            ++activeMispredicts_;
-        if (out.targetMiss)
-            ++activeTargetMisses_;
         return out;
     }
 
@@ -141,8 +137,6 @@ class BpuComplex
         bool large_hit = largeBtb_.predictAndUpdate(pc, target);
         bool small_hit = smallBtb_.predictAndUpdate(pc, target);
         out.targetMiss = largeOn_ ? !large_hit : !small_hit;
-        if (out.targetMiss)
-            ++activeTargetMisses_;
         return out;
     }
 
@@ -163,8 +157,6 @@ class BpuComplex
 
     /** Lifetime stats. @{ */
     std::uint64_t branches() const { return branches_; }
-    std::uint64_t activeMispredicts() const { return activeMispredicts_; }
-    std::uint64_t activeTargetMisses() const { return activeTargetMisses_; }
     /** @} */
 
     const DirectionPredictor &large() const { return *large_; }
@@ -190,8 +182,6 @@ class BpuComplex
     bool largeOn_ = true;
 
     std::uint64_t branches_ = 0;
-    std::uint64_t activeMispredicts_ = 0;
-    std::uint64_t activeTargetMisses_ = 0;
 };
 
 } // namespace powerchop

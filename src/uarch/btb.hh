@@ -80,8 +80,6 @@ class Btb
             victim->lruStamp = tick_;
         }
 
-        if (!hit)
-            ++misses_;
         return hit;
     }
 
@@ -89,7 +87,6 @@ class Btb
     void reset();
 
     std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t targetMisses() const { return misses_; }
     unsigned numEntries() const { return entries_; }
 
   private:
@@ -107,7 +104,6 @@ class Btb
     std::vector<Entry> table_;
     std::uint64_t tick_ = 0;
     std::uint64_t lookups_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace powerchop

@@ -70,7 +70,6 @@ class DirectionPredictor
 
     /** Per-window counters used by phase profiling. @{ */
     std::uint64_t windowLookups() const { return windowLookups_; }
-    std::uint64_t windowMispredicts() const { return windowMispredicts_; }
 
     double
     windowMispredictRate() const

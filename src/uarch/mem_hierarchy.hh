@@ -79,9 +79,6 @@ class MemHierarchy
     void resetWindowStats();
     /** @} */
 
-    /** The shadow tag array (exposed for tests). */
-    const SetAssocCache &shadowMlc() const { return shadowMlc_; }
-
   private:
     SetAssocCache l1_;
     SetAssocCache mlc_;

@@ -186,6 +186,36 @@ TEST(ResultCache, EvictionNeverErasesTheJournal)
         EXPECT_TRUE(warm.get(k)) << k;
 }
 
+TEST(ResultCache, FailuresAreJournaledButNeverCached)
+{
+    // A failed or timed-out outcome is history: durable in the
+    // journal, but never a hit, before or after a warm start.
+    const std::string dir = freshDir("cache-failures");
+    ResultCacheOptions opts;
+    opts.journalPath = dir + "/cache.jsonl";
+    {
+        ResultCache cache(opts);
+        cache.put(0xa1, "alpha");
+        cache.putFailure(0xb2, "timed-out",
+                         "{\"error\":\"slow\",\"attempts\":1}");
+        EXPECT_FALSE(cache.get(0xb2));
+        const ResultCacheStats st = cache.stats();
+        EXPECT_EQ(st.entries, 1u);
+        EXPECT_EQ(st.journalRecords, 2u);
+        EXPECT_EQ(st.journalDeadRecords, 1u);
+    }
+    const JournalReplay replay = loadJournal(opts.journalPath);
+    ASSERT_EQ(replay.records.size(), 2u);
+    EXPECT_EQ(replay.records[1].key, 0xb2u);
+    EXPECT_EQ(replay.records[1].status, "timed-out");
+
+    ResultCache warm(opts);
+    EXPECT_EQ(warm.warmStarted(), 1u);
+    EXPECT_TRUE(warm.get(0xa1));
+    EXPECT_FALSE(warm.get(0xb2));
+    EXPECT_EQ(warm.stats().journalDeadRecords, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Protocol
 // ---------------------------------------------------------------------
@@ -421,6 +451,81 @@ TEST(SimServer, ServedReportIsByteIdenticalToDirectCampaign)
         runCampaign(runner, tinyJobs(), dir + "/direct", {});
     ASSERT_TRUE(direct.complete());
     EXPECT_EQ(served, readFile(dir + "/direct/report.json"));
+}
+
+TEST(SimServer, CacheJournalResumesAsACampaign)
+{
+    // One store, one format: a daemon's cache.jsonl is a campaign
+    // journal. A campaign resumed from it runs nothing and writes
+    // the report a direct campaign writes.
+    const std::string dir = freshDir("cache-as-journal");
+    std::filesystem::create_directories(dir + "/daemon");
+    {
+        ServerFixture server(unixOptions(dir + "/daemon"));
+        ServeClient c = server.client();
+        const ServeReply reply = c.sim(tinySpec());
+        ASSERT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;
+    }
+    std::filesystem::create_directories(dir + "/resumed");
+    std::filesystem::copy_file(dir + "/daemon/cache.jsonl",
+                               dir + "/resumed/journal.jsonl");
+
+    SimJobRunner runner(2);
+    CampaignOptions resume;
+    resume.resume = true;
+    const CampaignResult resumed =
+        runCampaign(runner, tinyJobs(), dir + "/resumed", resume);
+    EXPECT_EQ(resumed.executed, 0u);
+    EXPECT_EQ(resumed.replayed, 2u);
+    const CampaignResult direct =
+        runCampaign(runner, tinyJobs(), dir + "/direct", {});
+    ASSERT_TRUE(direct.complete());
+    EXPECT_EQ(readFile(dir + "/resumed/report.json"),
+              readFile(dir + "/direct/report.json"));
+}
+
+TEST(SimServer, TimedOutJobIsJournaledAndResimulatedAfterRestart)
+{
+    // A served job that times out leaves a timed-out record in
+    // cache.jsonl. Like a campaign resume, a warm restart treats it
+    // as history: the job is simulated afresh, never served from it.
+    const std::string dir = freshDir("timed-out");
+    constexpr std::uint64_t insns = 10'000'000;
+    const std::string spec =
+        formatSimSpec(kWorkloads, kMachines, {"full-power"}, insns, 0);
+    SimJob job;
+    job.workload = findWorkload(kWorkloads[0]);
+    job.machine = serverConfig();
+    job.opts.mode = SimMode::FullPower;
+    job.opts.maxInstructions = insns;
+    const std::uint64_t key = campaignJobKey(job);
+    {
+        ServeOptions opts = unixOptions(dir);
+        opts.jobTimeoutSeconds = 0.001;
+        ServerFixture server(opts);
+        ServeClient c = server.client();
+        const ServeReply reply = c.sim(spec);
+        ASSERT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;
+        EXPECT_NE(reply.payload.find("\"timed-out\""), std::string::npos)
+            << reply.payload;
+        EXPECT_EQ(c.get(key).status, ResponseStatus::Miss);
+    }
+    const JournalReplay replay = loadJournal(dir + "/cache.jsonl");
+    ASSERT_EQ(replay.records.size(), 1u);
+    EXPECT_EQ(replay.records[0].key, key);
+    EXPECT_EQ(replay.records[0].status, "timed-out");
+
+    ServerFixture server(unixOptions(dir));
+    ServeClient c = server.client();
+    EXPECT_EQ(c.get(key).status, ResponseStatus::Miss);
+    const ServeReply reply = c.sim(spec);
+    ASSERT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;
+    EXPECT_NE(reply.payload.find("\"status\":\"ok\""), std::string::npos)
+        << reply.payload;
+    EXPECT_EQ(c.get(key).status, ResponseStatus::Hit);
+    const ServeReport &rep = server.stopAndJoin();
+    EXPECT_EQ(rep.warmStarted, 0u);
+    EXPECT_EQ(rep.simulatedJobs, 1u);
 }
 
 TEST(SimServer, GetServesCachedSingleResults)

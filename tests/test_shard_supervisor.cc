@@ -154,14 +154,18 @@ struct CliRun
     std::string out; ///< stdout and stderr, interleaved.
 };
 
-/** Run the real CLI through sh so its stderr (usage and fatal()
- *  text) is captured along with stdout. */
+/** Run the real CLI from `cwd` through sh so its stderr (usage and
+ *  fatal() text) is captured along with stdout. POWERCHOP_RUNNER_JSON
+ *  is cleared so the CLI's own default paths are what runs. */
 CliRun
-runCliCapture(const std::vector<std::string> &args)
+runCliCapture(const std::vector<std::string> &args,
+              const std::string &cwd = ".")
 {
     SpawnOptions opts;
-    opts.argv = {"/bin/sh", "-c", "exec \"$0\" \"$@\" 2>&1",
-                 POWERCHOP_CLI_PATH};
+    opts.argv = {"/bin/sh", "-c",
+                 "cd \"$0\" && unset POWERCHOP_RUNNER_JSON && "
+                 "exec \"$@\" 2>&1",
+                 cwd, POWERCHOP_CLI_PATH};
     opts.argv.insert(opts.argv.end(), args.begin(), args.end());
     Subprocess p;
     p.spawn(opts);
@@ -273,8 +277,9 @@ TEST(ShardRun, CompletesAndJournalsEveryAssignedJob)
     opts.onJobDone = [&](std::uint64_t, const JobOutcome &) {
         ++done_calls;
     };
+    ResultCache store(campaignStoreOptions(journal));
     const CampaignResult res =
-        runJournaledBatch(runner, jobs, journal, opts);
+        runJournaledBatch(runner, store, jobs, opts);
     EXPECT_TRUE(res.complete());
     EXPECT_FALSE(res.interrupted);
     EXPECT_EQ(res.keys.size(), 3u);
@@ -284,8 +289,9 @@ TEST(ShardRun, CompletesAndJournalsEveryAssignedJob)
     EXPECT_EQ(loadJournal(journal).records.size(), 3u);
 
     // A second run replays everything from the journal.
+    ResultCache reopened(campaignStoreOptions(journal));
     const CampaignResult again =
-        runJournaledBatch(runner, jobs, journal, opts);
+        runJournaledBatch(runner, reopened, jobs, opts);
     EXPECT_TRUE(again.complete());
     EXPECT_EQ(again.replayed, 3u);
     EXPECT_EQ(again.executed, 0u);
@@ -312,7 +318,8 @@ TEST(ShardRun, PreJournalFiresBeforeRecordIsDurable)
         records_at_hook =
             loadJournalIfPresent(journal).records.size();
     };
-    runJournaledBatch(runner, {job}, journal, opts);
+    ResultCache store(campaignStoreOptions(journal));
+    runJournaledBatch(runner, store, {job}, opts);
     EXPECT_EQ(records_at_hook, 0u);
     EXPECT_EQ(loadJournal(journal).records.size(), 1u);
 }
@@ -481,8 +488,9 @@ TEST(ShardedCampaign, ResumeCompletesPartialShardJournals)
         std::vector<SimJob> head = {matrix[parts[0][0]],
                                     matrix[parts[0][1]]};
         SimJobRunner runner(1);
-        const CampaignResult res = runJournaledBatch(
-            runner, head, shardJournalPath(dir, 0), {});
+        ResultCache store(campaignStoreOptions(shardJournalPath(dir, 0)));
+        const CampaignResult res =
+            runJournaledBatch(runner, store, head, {});
         ASSERT_TRUE(res.complete());
     }
 
@@ -540,6 +548,25 @@ TEST(CampaignCli, UnknownMachineIsRefusedByName)
                   std::string::npos)
             << run.out;
     }
+}
+
+TEST(CampaignCli, ShardedRunnerRowLandsInTheCampaignDir)
+{
+    // The supervision row of a sharded campaign belongs to the
+    // campaign: it once landed in BENCH_runner.json of whatever
+    // directory the CLI was started from.
+    const auto files = writeSpecs(freshDir("row-specs"), 2);
+    const std::string cwd = freshDir("row-cwd");
+    std::filesystem::create_directories(cwd);
+    const std::string dir = freshDir("row-camp");
+    std::vector<std::string> args = campaignArgs(dir, files);
+    args.insert(args.end(), {"--shards", "2"});
+    const CliRun run = runCliCapture(args, cwd);
+    ASSERT_TRUE(run.status.exitedOk()) << run.out;
+    EXPECT_FALSE(std::filesystem::exists(cwd + "/BENCH_runner.json"));
+    EXPECT_TRUE(std::filesystem::is_empty(cwd));
+    EXPECT_NE(readFile(dir + "/runner.json").find("campaign-shards"),
+              std::string::npos);
 }
 
 TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)

@@ -1024,9 +1024,10 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     std::printf("campaign: %s\n", res.campaign.summary().c_str());
     std::printf("report: %s/report.json\n", dir.c_str());
 
-    // The supervision trajectory rides the same BENCH file the
-    // runner benches append to, so crash/restart counts are tracked
-    // across changes alongside throughput.
+    // The supervision tallies land in the campaign directory (never
+    // the current one) as a runner row, so crash/restart counts are
+    // tracked alongside throughput; POWERCHOP_RUNNER_JSON redirects
+    // them, e.g. into a BENCH trajectory.
     RunnerReport rep;
     rep.jobs = res.campaign.keys.size();
     rep.threads = static_cast<unsigned>(res.shards);
@@ -1041,8 +1042,7 @@ cmdShardedCampaign(const std::string &dir, const Args &a)
     rep.workerRestarts = res.restarts;
     rep.redispatches = res.redispatches;
     const std::string bench_path =
-        envString("POWERCHOP_RUNNER_JSON")
-            .value_or("BENCH_runner.json");
+        envString("POWERCHOP_RUNNER_JSON").value_or(dir + "/runner.json");
     appendJsonArrayEntryOk(bench_path,
                            rep.toJson("campaign-shards"));
 
@@ -1168,8 +1168,9 @@ cmdCampaignWorker(const std::string &dir, const Args &a)
                       jobStatusName(o.status)));
     };
 
+    ResultCache store(campaignStoreOptions(a.journal));
     const CampaignResult res =
-        runJournaledBatch(runner, jobs, a.journal, copts, status.get());
+        runJournaledBatch(runner, store, jobs, copts, status.get());
 
     hb_stop.store(true, std::memory_order_relaxed);
     heartbeat.join();
