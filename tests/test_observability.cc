@@ -8,6 +8,7 @@
  * registry), and the campaign integration that ties them together.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -611,6 +612,225 @@ TEST(Statusboard, ServeStatsRoundTripAndRendering)
     StatusSnapshot plain;
     plain.role = "campaign";
     EXPECT_EQ(plain.toJson().find("\"serve\""), std::string::npos);
+}
+
+/** Every snapshot block populated: identity, in-flight keys, all
+ *  three quantile blocks, stages, shards and a serve block. */
+StatusSnapshot
+pinnedSnapshot()
+{
+    StatusSnapshot s = fullSnapshot();
+    s.pid = 4242;
+    s.updateSeq = 7;
+    s.uptimeSeconds = 3.5;
+    s.stages = {{"simulate", 1.25, 10}, {"merge \"x\"", 0.5, 1}};
+    ShardStatus failed;
+    failed.shard = 1;
+    failed.total = 20;
+    failed.done = 12;
+    failed.failed = true;
+    s.shards[0].shard = 0;
+    s.shards[0].done = 13;
+    s.shards.push_back(failed);
+    s.serve.requests = 10;
+    s.serve.hits = 7;
+    s.serve.misses = 3;
+    s.serve.evictions = 1;
+    s.serve.entries = 4;
+    s.serve.bytes = 2048;
+    s.serve.qps = 123.5;
+    s.serve.shedConnections = 2;
+    s.serve.shedRequests = 5;
+    s.serve.deadlineCancels = 1;
+    s.serve.compactions = 6;
+    s.serve.requestLatencyMs = {10, 0.5, 1.5, 4.0};
+    return s;
+}
+
+std::vector<std::string>
+sortedLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+TEST(Statusboard, SnapshotBytesArePinned)
+{
+    // Status files are read by scripts and dashboards: the document
+    // bytes are a contract, and a parse-render round trip keeps them.
+    const std::string pinned =
+        "{\"schema\":\"powerchop-status-v1\",\"role\":\"supervisor\","
+        "\"label\":\"campaign\",\"pid\":4242,\"update_seq\":7,"
+        "\"uptime_seconds\":3.500000,\"jobs_total\":40,\"jobs_done\":25,"
+        "\"jobs_ok\":23,\"jobs_failed\":2,\"jobs_retried\":5,"
+        "\"in_flight\":[\"deadbeefcafef00d\",\"0000000000000001\"],"
+        "\"mips\":12.500000,\"restarts\":3,\"eta_seconds\":42.250000,"
+        "\"finished\":false,\"job_latency_ms\":{\"samples\":100,"
+        "\"p50\":1.500000,\"p90\":2.500000,\"p99\":9.000000},"
+        "\"fsync_latency_ms\":{\"samples\":100,\"p50\":0.100000,"
+        "\"p90\":0.200000,\"p99\":0.400000},"
+        "\"restart_backoff_ms\":{\"samples\":3,\"p50\":100.000000,"
+        "\"p90\":200.000000,\"p99\":400.000000},"
+        "\"stages\":[{\"name\":\"simulate\",\"seconds\":1.250000,"
+        "\"count\":10},{\"name\":\"merge \\\"x\\\"\",\"seconds\":0.500000,"
+        "\"count\":1}],\"shards\":[{\"shard\":0,\"total\":20,\"done\":13,"
+        "\"restarts\":2,\"helpers\":1,\"active\":true,"
+        "\"heartbeat_age_seconds\":0.750000,\"failed\":false},{\"shard\":1,"
+        "\"total\":20,\"done\":12,\"restarts\":0,\"helpers\":0,"
+        "\"active\":false,\"heartbeat_age_seconds\":-1.000000,"
+        "\"failed\":true}],\"serve\":{\"requests\":10,\"hits\":7,"
+        "\"misses\":3,\"evictions\":1,\"entries\":4,\"bytes\":2048,"
+        "\"qps\":123.500000,\"shed_connections\":2,\"shed_requests\":5,"
+        "\"deadline_cancels\":1,\"compactions\":6,"
+        "\"request_latency_ms\":{\"samples\":10,\"p50\":0.500000,"
+        "\"p90\":1.500000,\"p99\":4.000000}}}";
+    const StatusSnapshot s = pinnedSnapshot();
+    EXPECT_EQ(s.toJson(), pinned);
+
+    StatusSnapshot r;
+    ASSERT_TRUE(StatusSnapshot::fromJson(pinned, r));
+    EXPECT_EQ(r.toJson(), pinned);
+}
+
+TEST(Statusboard, PrometheusLinesArePinned)
+{
+    // Metric names, HELP texts, labels and values are a contract;
+    // the order of the lines is not.
+    const std::string pinned =
+        "# HELP powerchop_eta_seconds Estimated seconds to completion (-1 = unknown)\n"
+        "# HELP powerchop_finished 1 when the campaign/worker has finished\n"
+        "# HELP powerchop_fsync_latency_ms Journal append fsync latency quantiles (ms)\n"
+        "# HELP powerchop_fsync_latency_ms_samples Samples behind the quantiles\n"
+        "# HELP powerchop_job_latency_ms Per-job wall latency quantiles (ms)\n"
+        "# HELP powerchop_job_latency_ms_samples Samples behind the quantiles\n"
+        "# HELP powerchop_jobs_done Jobs in a terminal state\n"
+        "# HELP powerchop_jobs_failed Jobs that failed terminally\n"
+        "# HELP powerchop_jobs_in_flight Jobs executing now\n"
+        "# HELP powerchop_jobs_retried Extra attempts granted\n"
+        "# HELP powerchop_jobs_total Jobs owned by this process\n"
+        "# HELP powerchop_mips Realized simulated MIPS since process start\n"
+        "# HELP powerchop_restart_backoff_ms Worker restart backoff quantiles (ms)\n"
+        "# HELP powerchop_restart_backoff_ms_samples Samples behind the quantiles\n"
+        "# HELP powerchop_restarts Worker restarts performed\n"
+        "# HELP powerchop_serve_bytes Cache payload bytes resident\n"
+        "# HELP powerchop_serve_compactions Cache journal compactions\n"
+        "# HELP powerchop_serve_deadline_cancels Requests cancelled by the wall deadline\n"
+        "# HELP powerchop_serve_entries Cache keys resident\n"
+        "# HELP powerchop_serve_evictions LRU entries evicted for space\n"
+        "# HELP powerchop_serve_hits Result-cache key hits\n"
+        "# HELP powerchop_serve_misses Result-cache key misses (simulated fresh)\n"
+        "# HELP powerchop_serve_qps Requests per second since daemon start\n"
+        "# HELP powerchop_serve_request_latency_ms Request wall latency quantiles (ms)\n"
+        "# HELP powerchop_serve_request_latency_ms_samples Samples behind the quantiles\n"
+        "# HELP powerchop_serve_requests Requests handled by powerchopd\n"
+        "# HELP powerchop_serve_shed_connections Connections shed BUSY at the accept gate\n"
+        "# HELP powerchop_serve_shed_requests SIM requests shed BUSY at admission\n"
+        "# HELP powerchop_status_age_seconds Seconds since the snapshot file was written\n"
+        "# TYPE powerchop_eta_seconds gauge\n"
+        "# TYPE powerchop_finished gauge\n"
+        "# TYPE powerchop_fsync_latency_ms gauge\n"
+        "# TYPE powerchop_fsync_latency_ms_samples gauge\n"
+        "# TYPE powerchop_job_latency_ms gauge\n"
+        "# TYPE powerchop_job_latency_ms_samples gauge\n"
+        "# TYPE powerchop_jobs_done gauge\n"
+        "# TYPE powerchop_jobs_failed gauge\n"
+        "# TYPE powerchop_jobs_in_flight gauge\n"
+        "# TYPE powerchop_jobs_retried gauge\n"
+        "# TYPE powerchop_jobs_total gauge\n"
+        "# TYPE powerchop_mips gauge\n"
+        "# TYPE powerchop_restart_backoff_ms gauge\n"
+        "# TYPE powerchop_restart_backoff_ms_samples gauge\n"
+        "# TYPE powerchop_restarts gauge\n"
+        "# TYPE powerchop_serve_bytes gauge\n"
+        "# TYPE powerchop_serve_compactions gauge\n"
+        "# TYPE powerchop_serve_deadline_cancels gauge\n"
+        "# TYPE powerchop_serve_entries gauge\n"
+        "# TYPE powerchop_serve_evictions gauge\n"
+        "# TYPE powerchop_serve_hits gauge\n"
+        "# TYPE powerchop_serve_misses gauge\n"
+        "# TYPE powerchop_serve_qps gauge\n"
+        "# TYPE powerchop_serve_request_latency_ms gauge\n"
+        "# TYPE powerchop_serve_request_latency_ms_samples gauge\n"
+        "# TYPE powerchop_serve_requests gauge\n"
+        "# TYPE powerchop_serve_shed_connections gauge\n"
+        "# TYPE powerchop_serve_shed_requests gauge\n"
+        "# TYPE powerchop_status_age_seconds gauge\n"
+        "powerchop_eta_seconds{entry=\"campaign\",role=\"supervisor\"} 42.250000\n"
+        "powerchop_eta_seconds{entry=\"server\",role=\"server\"} 42.250000\n"
+        "powerchop_finished{entry=\"campaign\",role=\"supervisor\"} 0.000000\n"
+        "powerchop_finished{entry=\"server\",role=\"server\"} 0.000000\n"
+        "powerchop_fsync_latency_ms_samples{entry=\"campaign\",role=\"supervisor\"} 100.000000\n"
+        "powerchop_fsync_latency_ms_samples{entry=\"server\",role=\"server\"} 100.000000\n"
+        "powerchop_fsync_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.5\"} 0.100000\n"
+        "powerchop_fsync_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.9\"} 0.200000\n"
+        "powerchop_fsync_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.99\"} 0.400000\n"
+        "powerchop_fsync_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.5\"} 0.100000\n"
+        "powerchop_fsync_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.9\"} 0.200000\n"
+        "powerchop_fsync_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.99\"} 0.400000\n"
+        "powerchop_job_latency_ms_samples{entry=\"campaign\",role=\"supervisor\"} 100.000000\n"
+        "powerchop_job_latency_ms_samples{entry=\"server\",role=\"server\"} 100.000000\n"
+        "powerchop_job_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.5\"} 1.500000\n"
+        "powerchop_job_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.9\"} 2.500000\n"
+        "powerchop_job_latency_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.99\"} 9.000000\n"
+        "powerchop_job_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.5\"} 1.500000\n"
+        "powerchop_job_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.9\"} 2.500000\n"
+        "powerchop_job_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.99\"} 9.000000\n"
+        "powerchop_jobs_done{entry=\"campaign\",role=\"supervisor\"} 25.000000\n"
+        "powerchop_jobs_done{entry=\"server\",role=\"server\"} 25.000000\n"
+        "powerchop_jobs_failed{entry=\"campaign\",role=\"supervisor\"} 2.000000\n"
+        "powerchop_jobs_failed{entry=\"server\",role=\"server\"} 2.000000\n"
+        "powerchop_jobs_in_flight{entry=\"campaign\",role=\"supervisor\"} 2.000000\n"
+        "powerchop_jobs_in_flight{entry=\"server\",role=\"server\"} 2.000000\n"
+        "powerchop_jobs_retried{entry=\"campaign\",role=\"supervisor\"} 5.000000\n"
+        "powerchop_jobs_retried{entry=\"server\",role=\"server\"} 5.000000\n"
+        "powerchop_jobs_total{entry=\"campaign\",role=\"supervisor\"} 40.000000\n"
+        "powerchop_jobs_total{entry=\"server\",role=\"server\"} 40.000000\n"
+        "powerchop_mips{entry=\"campaign\",role=\"supervisor\"} 12.500000\n"
+        "powerchop_mips{entry=\"server\",role=\"server\"} 12.500000\n"
+        "powerchop_restart_backoff_ms_samples{entry=\"campaign\",role=\"supervisor\"} 3.000000\n"
+        "powerchop_restart_backoff_ms_samples{entry=\"server\",role=\"server\"} 3.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.5\"} 100.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.9\"} 200.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"campaign\",role=\"supervisor\",quantile=\"0.99\"} 400.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"server\",role=\"server\",quantile=\"0.5\"} 100.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"server\",role=\"server\",quantile=\"0.9\"} 200.000000\n"
+        "powerchop_restart_backoff_ms{entry=\"server\",role=\"server\",quantile=\"0.99\"} 400.000000\n"
+        "powerchop_restarts{entry=\"campaign\",role=\"supervisor\"} 3.000000\n"
+        "powerchop_restarts{entry=\"server\",role=\"server\"} 3.000000\n"
+        "powerchop_serve_bytes{entry=\"server\",role=\"server\"} 2048.000000\n"
+        "powerchop_serve_compactions{entry=\"server\",role=\"server\"} 6.000000\n"
+        "powerchop_serve_deadline_cancels{entry=\"server\",role=\"server\"} 1.000000\n"
+        "powerchop_serve_entries{entry=\"server\",role=\"server\"} 4.000000\n"
+        "powerchop_serve_evictions{entry=\"server\",role=\"server\"} 1.000000\n"
+        "powerchop_serve_hits{entry=\"server\",role=\"server\"} 7.000000\n"
+        "powerchop_serve_misses{entry=\"server\",role=\"server\"} 3.000000\n"
+        "powerchop_serve_qps{entry=\"server\",role=\"server\"} 123.500000\n"
+        "powerchop_serve_request_latency_ms_samples{entry=\"server\",role=\"server\"} 10.000000\n"
+        "powerchop_serve_request_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.5\"} 0.500000\n"
+        "powerchop_serve_request_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.9\"} 1.500000\n"
+        "powerchop_serve_request_latency_ms{entry=\"server\",role=\"server\",quantile=\"0.99\"} 4.000000\n"
+        "powerchop_serve_requests{entry=\"server\",role=\"server\"} 10.000000\n"
+        "powerchop_serve_shed_connections{entry=\"server\",role=\"server\"} 2.000000\n"
+        "powerchop_serve_shed_requests{entry=\"server\",role=\"server\"} 5.000000\n"
+        "powerchop_status_age_seconds{entry=\"campaign\",role=\"supervisor\"} 0.500000\n"
+        "powerchop_status_age_seconds{entry=\"server\",role=\"server\"} 1.250000\n";
+    StatusEntry campaign;
+    campaign.file = "campaign.json";
+    campaign.ageSeconds = 0.5;
+    campaign.parsed = true;
+    campaign.snap = pinnedSnapshot();
+    campaign.snap.serve = ServeStats();
+    StatusEntry server = campaign;
+    server.file = "server.json";
+    server.ageSeconds = 1.25;
+    server.snap = pinnedSnapshot();
+    server.snap.role = "server";
+    EXPECT_EQ(sortedLines(renderStatusPrometheus({campaign, server})),
+              sortedLines(pinned));
 }
 
 // ---------------------------------------------------------------------

@@ -570,6 +570,20 @@ TEST(SimServer, StatsReportLiveCounters)
     EXPECT_GT(v.getUint64("bytes"), 0u);
     EXPECT_GT(v.find("request_latency_ms")->getUint64("samples"),
               0u);
+
+    // Scripts and perfbench read STATS: every key, in this order.
+    std::vector<std::string> keys;
+    for (const auto &member : v.members())
+        keys.push_back(member.first);
+    const std::vector<std::string> want = {
+        "schema", "uptime_seconds", "requests", "gets", "sims",
+        "errors", "simulated_jobs", "hits", "misses", "hit_rate",
+        "insertions", "evictions", "entries", "bytes", "warm_started",
+        "qps", "shed_connections", "shed_requests", "deadline_cancels",
+        "idle_reaped", "read_timeouts", "accept_retries",
+        "dropped_in_flight", "compactions", "journal_records",
+        "journal_dead_records", "request_latency_ms"};
+    EXPECT_EQ(keys, want);
 }
 
 TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
