@@ -2,12 +2,29 @@
 
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace powerchop
 {
 namespace stats
 {
+
+std::string
+quantilesJson(const Quantiles &q)
+{
+    return csprintf("{\"samples\":%llu,\"p50\":%.6f,\"p90\":%.6f,"
+                    "\"p99\":%.6f}",
+                    static_cast<unsigned long long>(q.samples), q.p50,
+                    q.p90, q.p99);
+}
+
+Quantiles
+parseQuantiles(const json::Value &block)
+{
+    return {block.getUint64("samples"), block.getDouble("p50"),
+            block.getDouble("p90"), block.getDouble("p99")};
+}
 
 Distribution::Distribution(double min, double max, unsigned buckets)
     : min_(min), max_(max),

@@ -21,6 +21,11 @@
 
 namespace powerchop
 {
+namespace json
+{
+class Value;
+} // namespace json
+
 namespace stats
 {
 
@@ -129,6 +134,14 @@ struct Quantiles
     double p90 = 0;
     double p99 = 0;
 };
+
+/** `q` as a JSON object of its sample count and p50/p90/p99 (`%.6f`
+ *  reals): the one spelling of a quantile block in every report,
+ *  status snapshot and STATS document. */
+std::string quantilesJson(const Quantiles &q);
+
+/** Read a quantilesJson() block; absent members read as 0. */
+Quantiles parseQuantiles(const json::Value &block);
 
 /**
  * A lock-free fixed-bucket log2 histogram over unsigned values.

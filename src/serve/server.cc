@@ -20,7 +20,6 @@
 #include "common/logging.hh"
 #include "sim/campaign.hh"
 #include "sim/machine_config.hh"
-#include "sim/statusboard.hh"
 #include "workload/suites.hh"
 
 namespace powerchop
@@ -171,32 +170,32 @@ setNonBlocking(int fd)
 } // namespace
 
 std::string
-ServeReport::summary() const
+serveSummary(const ServeStats &st)
 {
     return csprintf(
         "%llu requests (%llu get, %llu sim, %llu err) in %.1fs: "
         "%llu hits, %llu misses, %llu evictions, %llu jobs "
-        "simulated, %zu warm-started, %llu keys / %llu bytes "
+        "simulated, %llu warm-started, %llu keys / %llu bytes "
         "resident; %llu conns + %llu requests shed, %llu deadline-"
         "cancelled, %llu idle-reaped, %llu compactions, %llu "
         "dropped in flight",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(gets),
-        static_cast<unsigned long long>(sims),
-        static_cast<unsigned long long>(errors), wallSeconds,
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(simulatedJobs),
-        warmStarted,
-        static_cast<unsigned long long>(cache.entries),
-        static_cast<unsigned long long>(cache.bytes),
-        static_cast<unsigned long long>(shedConnections),
-        static_cast<unsigned long long>(shedRequests),
-        static_cast<unsigned long long>(deadlineCancels),
-        static_cast<unsigned long long>(idleReaped),
-        static_cast<unsigned long long>(cache.compactions),
-        static_cast<unsigned long long>(droppedInFlight));
+        static_cast<unsigned long long>(st.requests),
+        static_cast<unsigned long long>(st.gets),
+        static_cast<unsigned long long>(st.sims),
+        static_cast<unsigned long long>(st.errors), st.uptimeSeconds,
+        static_cast<unsigned long long>(st.hits),
+        static_cast<unsigned long long>(st.misses),
+        static_cast<unsigned long long>(st.evictions),
+        static_cast<unsigned long long>(st.simulatedJobs),
+        static_cast<unsigned long long>(st.warmStarted),
+        static_cast<unsigned long long>(st.entries),
+        static_cast<unsigned long long>(st.bytes),
+        static_cast<unsigned long long>(st.shedConnections),
+        static_cast<unsigned long long>(st.shedRequests),
+        static_cast<unsigned long long>(st.deadlineCancels),
+        static_cast<unsigned long long>(st.idleReaped),
+        static_cast<unsigned long long>(st.compactions),
+        static_cast<unsigned long long>(st.droppedInFlight));
 }
 
 SimServer::SimServer(const ServeOptions &opts)
@@ -374,95 +373,47 @@ SimServer::drainConnections()
     reapConnections(true);
 }
 
-ServeReport
-SimServer::reportLocked() const
+ServeStats
+SimServer::stats() const
 {
-    ServeReport rep;
-    rep.requests = requests_.load(std::memory_order_relaxed);
-    rep.gets = gets_.load(std::memory_order_relaxed);
-    rep.sims = sims_.load(std::memory_order_relaxed);
-    rep.errors = errors_.load(std::memory_order_relaxed);
-    rep.simulatedJobs =
-        simulatedJobs_.load(std::memory_order_relaxed);
-    rep.warmStarted = cache_.warmStarted();
-    rep.wallSeconds =
+    const auto load = [](const std::atomic<std::uint64_t> &counter) {
+        return counter.load(std::memory_order_relaxed);
+    };
+    const ResultCacheStats cache = cache_.stats();
+    ServeStats st;
+    st.uptimeSeconds =
         startedAt_ > 0 ? monotonicSeconds() - startedAt_ : 0;
-    rep.cache = cache_.stats();
-    rep.requestLatencyMs = requestLatencyNs_.quantiles(1e-6);
-    rep.shedConnections =
-        shedConnections_.load(std::memory_order_relaxed);
-    rep.shedRequests = shedRequests_.load(std::memory_order_relaxed);
-    rep.deadlineCancels =
-        deadlineCancels_.load(std::memory_order_relaxed);
-    rep.idleReaped = idleReaped_.load(std::memory_order_relaxed);
-    rep.readTimeouts = readTimeouts_.load(std::memory_order_relaxed);
-    rep.acceptRetries =
-        acceptRetries_.load(std::memory_order_relaxed);
-    rep.droppedInFlight =
-        droppedInFlight_.load(std::memory_order_relaxed);
-    return rep;
-}
-
-std::string
-SimServer::statsJson() const
-{
-    const ServeReport rep = reportLocked();
-    const double qps = rep.wallSeconds > 0
-                           ? static_cast<double>(rep.requests) /
-                                 rep.wallSeconds
-                           : 0;
-    const double hitRate =
-        rep.cache.hits + rep.cache.misses > 0
-            ? static_cast<double>(rep.cache.hits) /
-                  static_cast<double>(rep.cache.hits +
-                                      rep.cache.misses)
-            : 0;
-    std::string s = csprintf(
-        "{\"schema\":\"powerchop-serve-stats-v1\","
-        "\"uptime_seconds\":%.6f,\"requests\":%llu,\"gets\":%llu,"
-        "\"sims\":%llu,\"errors\":%llu,\"simulated_jobs\":%llu,"
-        "\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.6f,"
-        "\"insertions\":%llu,\"evictions\":%llu,\"entries\":%llu,"
-        "\"bytes\":%llu,\"warm_started\":%zu,\"qps\":%.6f",
-        rep.wallSeconds,
-        static_cast<unsigned long long>(rep.requests),
-        static_cast<unsigned long long>(rep.gets),
-        static_cast<unsigned long long>(rep.sims),
-        static_cast<unsigned long long>(rep.errors),
-        static_cast<unsigned long long>(rep.simulatedJobs),
-        static_cast<unsigned long long>(rep.cache.hits),
-        static_cast<unsigned long long>(rep.cache.misses), hitRate,
-        static_cast<unsigned long long>(rep.cache.insertions),
-        static_cast<unsigned long long>(rep.cache.evictions),
-        static_cast<unsigned long long>(rep.cache.entries),
-        static_cast<unsigned long long>(rep.cache.bytes),
-        rep.warmStarted, qps);
-    s += csprintf(
-        ",\"shed_connections\":%llu,\"shed_requests\":%llu,"
-        "\"deadline_cancels\":%llu,\"idle_reaped\":%llu,"
-        "\"read_timeouts\":%llu,\"accept_retries\":%llu,"
-        "\"dropped_in_flight\":%llu,\"compactions\":%llu,"
-        "\"journal_records\":%llu,\"journal_dead_records\":%llu",
-        static_cast<unsigned long long>(rep.shedConnections),
-        static_cast<unsigned long long>(rep.shedRequests),
-        static_cast<unsigned long long>(rep.deadlineCancels),
-        static_cast<unsigned long long>(rep.idleReaped),
-        static_cast<unsigned long long>(rep.readTimeouts),
-        static_cast<unsigned long long>(rep.acceptRetries),
-        static_cast<unsigned long long>(rep.droppedInFlight),
-        static_cast<unsigned long long>(rep.cache.compactions),
-        static_cast<unsigned long long>(rep.cache.journalRecords),
-        static_cast<unsigned long long>(
-            rep.cache.journalDeadRecords));
-    const stats::Quantiles &q = rep.requestLatencyMs;
-    if (q.samples > 0) {
-        s += csprintf(",\"request_latency_ms\":{\"samples\":%llu,"
-                      "\"p50\":%.6f,\"p90\":%.6f,\"p99\":%.6f}",
-                      static_cast<unsigned long long>(q.samples),
-                      q.p50, q.p90, q.p99);
-    }
-    s += "}\n";
-    return s;
+    st.requests = load(requests_);
+    st.gets = load(gets_);
+    st.sims = load(sims_);
+    st.errors = load(errors_);
+    st.simulatedJobs = load(simulatedJobs_);
+    st.hits = cache.hits;
+    st.misses = cache.misses;
+    st.hitRate = cache.hits + cache.misses > 0
+                     ? static_cast<double>(cache.hits) /
+                           static_cast<double>(cache.hits + cache.misses)
+                     : 0;
+    st.insertions = cache.insertions;
+    st.evictions = cache.evictions;
+    st.entries = cache.entries;
+    st.bytes = cache.bytes;
+    st.warmStarted = cache_.warmStarted();
+    st.qps = st.uptimeSeconds > 0
+                 ? static_cast<double>(st.requests) / st.uptimeSeconds
+                 : 0;
+    st.shedConnections = load(shedConnections_);
+    st.shedRequests = load(shedRequests_);
+    st.deadlineCancels = load(deadlineCancels_);
+    st.idleReaped = load(idleReaped_);
+    st.readTimeouts = load(readTimeouts_);
+    st.acceptRetries = load(acceptRetries_);
+    st.droppedInFlight = load(droppedInFlight_);
+    st.compactions = cache.compactions;
+    st.journalRecords = cache.journalRecords;
+    st.journalDeadRecords = cache.journalDeadRecords;
+    st.requestLatencyMs = requestLatencyNs_.quantiles(1e-6);
+    return st;
 }
 
 ResponseStatus
@@ -633,7 +584,7 @@ SimServer::handleConnection(Conn *conn)
             break;
           case RequestVerb::Stats:
             status = ResponseStatus::Ok;
-            payload = statsJson();
+            payload = stats().toJson() + "\n";
             break;
           case RequestVerb::Bad:
             payload = req.error + "\n";
@@ -663,7 +614,7 @@ SimServer::handleConnection(Conn *conn)
     conn->done.store(true, std::memory_order_release);
 }
 
-ServeReport
+ServeStats
 SimServer::run()
 {
     startedAt_ = monotonicSeconds();
@@ -687,28 +638,12 @@ SimServer::run()
         publisher = std::make_unique<StatusPublisher>(
             opts_.statusPath, opts_.statusIntervalSeconds);
         const auto makeSnapshot = [this](bool finished) {
-            const ServeReport rep = reportLocked();
             StatusSnapshot snap;
             snap.role = "server";
             snap.label = "powerchopd";
-            snap.jobsTotal = snap.jobsDone =
-                static_cast<std::size_t>(rep.simulatedJobs);
-            snap.jobsOk = snap.jobsDone;
-            snap.serve.requests = rep.requests;
-            snap.serve.hits = rep.cache.hits;
-            snap.serve.misses = rep.cache.misses;
-            snap.serve.evictions = rep.cache.evictions;
-            snap.serve.entries = rep.cache.entries;
-            snap.serve.bytes = rep.cache.bytes;
-            snap.serve.qps = rep.wallSeconds > 0
-                ? static_cast<double>(rep.requests) /
-                      rep.wallSeconds
-                : 0;
-            snap.serve.shedConnections = rep.shedConnections;
-            snap.serve.shedRequests = rep.shedRequests;
-            snap.serve.deadlineCancels = rep.deadlineCancels;
-            snap.serve.compactions = rep.cache.compactions;
-            snap.serve.requestLatencyMs = rep.requestLatencyMs;
+            snap.serve = stats();
+            snap.jobsTotal = snap.jobsDone = snap.jobsOk =
+                snap.serve.simulatedJobs;
             snap.finished = finished;
             return snap;
         };
@@ -799,9 +734,9 @@ SimServer::run()
         statusStop.store(true, std::memory_order_relaxed);
         statusThread.join();
     }
-    ServeReport rep = reportLocked();
-    event(rep.summary());
-    return rep;
+    const ServeStats st = stats();
+    event(serveSummary(st));
+    return st;
 }
 
 } // namespace powerchop

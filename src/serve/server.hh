@@ -43,6 +43,7 @@
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "sim/sim_runner.hh"
+#include "sim/statusboard.hh"
 
 namespace powerchop
 {
@@ -113,40 +114,13 @@ struct ServeOptions
     std::function<void(const std::string &)> onEvent;
 };
 
-/** What a daemon lifetime accomplished. */
-struct ServeReport
-{
-    std::uint64_t requests = 0; ///< All verbs, ERR included.
-    std::uint64_t gets = 0;
-    std::uint64_t sims = 0;
-    std::uint64_t errors = 0;   ///< Requests answered ERR.
-    std::uint64_t simulatedJobs = 0; ///< Jobs executed fresh.
-    std::size_t warmStarted = 0; ///< Cache entries from the journal.
-    double wallSeconds = 0;
-    ResultCacheStats cache;
-    stats::Quantiles requestLatencyMs;
-
-    /** Hardening counters. @{ */
-    std::uint64_t shedConnections = 0; ///< BUSY at the accept gate.
-    std::uint64_t shedRequests = 0;    ///< BUSY at SIM admission.
-    std::uint64_t deadlineCancels = 0; ///< SIMs cancelled by wall
-                                       ///< deadline (ERR deadline).
-    std::uint64_t idleReaped = 0;      ///< Idle conns timed out.
-    std::uint64_t readTimeouts = 0;    ///< Mid-frame read stalls.
-    std::uint64_t acceptRetries = 0;   ///< accept() EMFILE/ENFILE/
-                                       ///< transient failures.
-    std::uint64_t droppedInFlight = 0; ///< Requests force-closed at
-                                       ///< the drain deadline.
-    /** @} */
-
-    /** One-line human-readable summary. */
-    std::string summary() const;
-};
+/** One-line human-readable summary of a daemon's counters. */
+std::string serveSummary(const ServeStats &st);
 
 /**
  * The daemon. Construction binds and listens (throws IoError when
  * the address is unusable), run() serves until the stop flag rises,
- * then drains connection threads and returns the lifetime report.
+ * then drains connection threads and returns the lifetime counters.
  */
 class SimServer
 {
@@ -157,8 +131,9 @@ class SimServer
     SimServer(const SimServer &) = delete;
     SimServer &operator=(const SimServer &) = delete;
 
-    /** Serve until the stop flag rises. One call per server. */
-    ServeReport run();
+    /** Serve until the stop flag rises and return the lifetime
+     *  counters. One call per server. */
+    ServeStats run();
 
   private:
     struct Conn
@@ -173,8 +148,7 @@ class SimServer
     void handleConnection(Conn *conn);
     ResponseStatus handleSim(const std::string &specJson,
                              std::string &payload);
-    std::string statsJson() const;
-    ServeReport reportLocked() const;
+    ServeStats stats() const;
     void reapConnections(bool all);
     void drainConnections();
     std::size_t liveConnections();

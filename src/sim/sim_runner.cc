@@ -275,12 +275,8 @@ RunnerReport::toJson(const std::string &name) const
         s += "}";
     }
     if (taskLatencyNs.samples() > 0) {
-        const stats::Quantiles q = taskLatencyNs.quantiles(1e-6);
-        s += csprintf(
-            ",\"task_latency_ms\":{\"samples\":%llu,\"p50\":%.6f,"
-            "\"p90\":%.6f,\"p99\":%.6f}",
-            static_cast<unsigned long long>(q.samples), q.p50, q.p90,
-            q.p99);
+        s += ",\"task_latency_ms\":" +
+             stats::quantilesJson(taskLatencyNs.quantiles(1e-6));
     }
     s += "}";
     return s;

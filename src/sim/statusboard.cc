@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <type_traits>
+#include <variant>
 
 #include "common/atomic_file.hh"
 #include "common/clock.hh"
@@ -69,31 +71,241 @@ wallNow()
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/** Render one Quantiles block ("key":{...}) or "" when empty. */
-std::string
-quantilesJson(const char *key, const stats::Quantiles &q)
+/**
+ * One field of a status or STATS document: its JSON key, its
+ * Prometheus HELP text (nullptr: not exported) and the member that
+ * holds it. The member's type is the field's kind: a count, a real,
+ * a bool or a quantile block; the snapshot's identity strings and
+ * in-flight key list are text and key-list fields. Every writer,
+ * parser and exporter below walks these rows, so each key is spelled
+ * once.
+ */
+template <class T>
+struct Field
 {
-    if (q.samples == 0)
-        return std::string();
-    return csprintf(
-        ",\"%s\":{\"samples\":%llu,\"p50\":%s,\"p90\":%s,\"p99\":%s}",
-        key, static_cast<unsigned long long>(q.samples),
-        fmtDouble(q.p50).c_str(), fmtDouble(q.p90).c_str(),
-        fmtDouble(q.p99).c_str());
+    const char *key;
+    const char *help;
+    std::variant<std::uint64_t T::*, double T::*, bool T::*,
+                 stats::Quantiles T::*, std::string T::*,
+                 std::vector<std::uint64_t> T::*>
+        member;
+};
+
+template <class T>
+using Fields = std::vector<Field<T>>;
+
+// Count rows point at std::size_t members through std::uint64_t.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>);
+
+/** A field's JSON value; "" leaves the field out (a quantile block
+ *  with no samples). */
+template <class V>
+std::string
+valueJson(const V &v)
+{
+    if constexpr (std::is_same_v<V, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+        return std::to_string(v);
+    } else if constexpr (std::is_same_v<V, double>) {
+        return fmtDouble(v);
+    } else if constexpr (std::is_same_v<V, stats::Quantiles>) {
+        return v.samples ? stats::quantilesJson(v) : std::string();
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        return "\"" + json::escape(v) + "\"";
+    } else {
+        std::string s = "[";
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            s += csprintf("%s\"%016llx\"", i ? "," : "",
+                          static_cast<unsigned long long>(v[i]));
+        }
+        return s + "]";
+    }
 }
 
+/** Read a field's JSON value; a value of the wrong type keeps the
+ *  field's current one. */
+template <class V>
 void
-parseQuantiles(const json::Value &obj, const char *key,
-               stats::Quantiles &out)
+readValue(const json::Value &v, V &out)
 {
-    const json::Value *v = obj.find(key);
-    if (!v || !v->isObject())
-        return;
-    out.samples = v->getUint64("samples");
-    out.p50 = v->getDouble("p50");
-    out.p90 = v->getDouble("p90");
-    out.p99 = v->getDouble("p99");
+    if constexpr (std::is_same_v<V, bool>) {
+        out = v.asBool(out);
+    } else if constexpr (std::is_same_v<V, std::uint64_t>) {
+        out = v.asUint64(out);
+    } else if constexpr (std::is_same_v<V, double>) {
+        out = v.asDouble(out);
+    } else if constexpr (std::is_same_v<V, stats::Quantiles>) {
+        if (v.isObject())
+            out = stats::parseQuantiles(v);
+    } else if constexpr (std::is_same_v<V, std::string>) {
+        out = v.asString(out);
+    } else {
+        for (const json::Value &key : v.elements()) {
+            if (key.isString()) {
+                out.push_back(
+                    std::strtoull(key.asString().c_str(), nullptr, 16));
+            }
+        }
+    }
 }
+
+/** Append obj's rows as `"key":value` members of the object open at
+ *  the end of `s`; `exportedOnly` keeps the rows with a HELP text. */
+template <class T>
+void
+appendFields(std::string &s, const T &obj, const Fields<T> &rows,
+             bool exportedOnly = false)
+{
+    for (const Field<T> &f : rows) {
+        if (exportedOnly && !f.help)
+            continue;
+        const std::string v = std::visit(
+            [&](auto member) { return valueJson(obj.*member); },
+            f.member);
+        if (!v.empty()) {
+            s += csprintf("%s\"%s\":%s", s.back() == '{' ? "" : ",",
+                          f.key, v.c_str());
+        }
+    }
+}
+
+/** Read every row present in `doc`; absent ones keep their values. */
+template <class T>
+void
+readFields(const json::Value &doc, T &obj, const Fields<T> &rows)
+{
+    for (const Field<T> &f : rows) {
+        if (const json::Value *v = doc.find(f.key)) {
+            std::visit([&](auto member) { readValue(*v, obj.*member); },
+                       f.member);
+        }
+    }
+}
+
+/** An array of row-described objects: `,"key":[{...},...]`, left
+ *  out when empty. */
+template <class T>
+void
+appendObjects(std::string &s, const char *key,
+              const std::vector<T> &items, const Fields<T> &rows)
+{
+    if (items.empty())
+        return;
+    s += csprintf(",\"%s\":[", key);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        s += i ? ",{" : "{";
+        appendFields(s, items[i], rows);
+        s += "}";
+    }
+    s += "]";
+}
+
+/** Read back an appendObjects() array (non-objects skipped). */
+template <class T>
+void
+readObjects(const json::Value &doc, const char *key,
+            std::vector<T> &out, const Fields<T> &rows)
+{
+    const json::Value *arr = doc.find(key);
+    if (!arr)
+        return;
+    for (const json::Value &v : arr->elements()) {
+        if (!v.isObject())
+            continue;
+        T item;
+        readFields(v, item, rows);
+        out.push_back(std::move(item));
+    }
+}
+
+/** The snapshot's fields, in document order (the stages, shards and
+ *  serve blocks follow them). Prometheus exports a row with a HELP
+ *  text as powerchop_<key>. */
+const Fields<StatusSnapshot> kSnapshotFields = {
+    {"role", nullptr, &StatusSnapshot::role},
+    {"label", nullptr, &StatusSnapshot::label},
+    {"pid", nullptr, &StatusSnapshot::pid},
+    {"update_seq", nullptr, &StatusSnapshot::updateSeq},
+    {"uptime_seconds", nullptr, &StatusSnapshot::uptimeSeconds},
+    {"jobs_total", "Jobs owned by this process",
+     &StatusSnapshot::jobsTotal},
+    {"jobs_done", "Jobs in a terminal state", &StatusSnapshot::jobsDone},
+    {"jobs_ok", nullptr, &StatusSnapshot::jobsOk},
+    {"jobs_failed", "Jobs that failed terminally",
+     &StatusSnapshot::jobsFailed},
+    {"jobs_retried", "Extra attempts granted",
+     &StatusSnapshot::jobsRetried},
+    {"in_flight", nullptr, &StatusSnapshot::inFlight},
+    {"mips", "Realized simulated MIPS since process start",
+     &StatusSnapshot::mips},
+    {"restarts", "Worker restarts performed", &StatusSnapshot::restarts},
+    {"eta_seconds", "Estimated seconds to completion (-1 = unknown)",
+     &StatusSnapshot::etaSeconds},
+    {"finished", "1 when the campaign/worker has finished",
+     &StatusSnapshot::finished},
+    {"job_latency_ms", "Per-job wall latency quantiles (ms)",
+     &StatusSnapshot::jobLatencyMs},
+    {"fsync_latency_ms", "Journal append fsync latency quantiles (ms)",
+     &StatusSnapshot::fsyncLatencyMs},
+    {"restart_backoff_ms", "Worker restart backoff quantiles (ms)",
+     &StatusSnapshot::restartBackoffMs},
+};
+
+const Fields<telemetry::StageTime> kStageFields = {
+    {"name", nullptr, &telemetry::StageTime::name},
+    {"seconds", nullptr, &telemetry::StageTime::seconds},
+    {"count", nullptr, &telemetry::StageTime::count},
+};
+
+const Fields<ShardStatus> kShardFields = {
+    {"shard", nullptr, &ShardStatus::shard},
+    {"total", nullptr, &ShardStatus::total},
+    {"done", nullptr, &ShardStatus::done},
+    {"restarts", nullptr, &ShardStatus::restarts},
+    {"helpers", nullptr, &ShardStatus::helpers},
+    {"active", nullptr, &ShardStatus::active},
+    {"heartbeat_age_seconds", nullptr,
+     &ShardStatus::heartbeatAgeSeconds},
+    {"failed", nullptr, &ShardStatus::failed},
+};
+
+/** STATS carries every row, in this order; the snapshot's serve
+ *  block carries the rows with a HELP text, which Prometheus exports
+ *  as powerchop_serve_<key>. */
+const Fields<ServeStats> kServeFields = {
+    {"uptime_seconds", nullptr, &ServeStats::uptimeSeconds},
+    {"requests", "Requests handled by powerchopd", &ServeStats::requests},
+    {"gets", nullptr, &ServeStats::gets},
+    {"sims", nullptr, &ServeStats::sims},
+    {"errors", nullptr, &ServeStats::errors},
+    {"simulated_jobs", nullptr, &ServeStats::simulatedJobs},
+    {"hits", "Result-cache key hits", &ServeStats::hits},
+    {"misses", "Result-cache key misses (simulated fresh)",
+     &ServeStats::misses},
+    {"hit_rate", nullptr, &ServeStats::hitRate},
+    {"insertions", nullptr, &ServeStats::insertions},
+    {"evictions", "LRU entries evicted for space", &ServeStats::evictions},
+    {"entries", "Cache keys resident", &ServeStats::entries},
+    {"bytes", "Cache payload bytes resident", &ServeStats::bytes},
+    {"warm_started", nullptr, &ServeStats::warmStarted},
+    {"qps", "Requests per second since daemon start", &ServeStats::qps},
+    {"shed_connections", "Connections shed BUSY at the accept gate",
+     &ServeStats::shedConnections},
+    {"shed_requests", "SIM requests shed BUSY at admission",
+     &ServeStats::shedRequests},
+    {"deadline_cancels", "Requests cancelled by the wall deadline",
+     &ServeStats::deadlineCancels},
+    {"idle_reaped", nullptr, &ServeStats::idleReaped},
+    {"read_timeouts", nullptr, &ServeStats::readTimeouts},
+    {"accept_retries", nullptr, &ServeStats::acceptRetries},
+    {"dropped_in_flight", nullptr, &ServeStats::droppedInFlight},
+    {"compactions", "Cache journal compactions", &ServeStats::compactions},
+    {"journal_records", nullptr, &ServeStats::journalRecords},
+    {"journal_dead_records", nullptr, &ServeStats::journalDeadRecords},
+    {"request_latency_ms", "Request wall latency quantiles (ms)",
+     &ServeStats::requestLatencyMs},
+};
 
 /** Whole-file read; false on any error (reader is best-effort). */
 bool
@@ -117,89 +329,16 @@ readWholeFile(const std::string &path, std::string &out)
 std::string
 StatusSnapshot::toJson() const
 {
-    std::string s = csprintf(
-        "{\"schema\":\"%s\",\"role\":\"%s\",\"label\":\"%s\","
-        "\"pid\":%d,\"update_seq\":%llu,\"uptime_seconds\":%s",
-        kStatusSchema, json::escape(role).c_str(),
-        json::escape(label).c_str(), pid,
-        static_cast<unsigned long long>(updateSeq),
-        fmtDouble(uptimeSeconds).c_str());
-    s += csprintf(
-        ",\"jobs_total\":%zu,\"jobs_done\":%zu,\"jobs_ok\":%zu,"
-        "\"jobs_failed\":%zu,\"jobs_retried\":%zu",
-        jobsTotal, jobsDone, jobsOk, jobsFailed, jobsRetried);
-
-    s += ",\"in_flight\":[";
-    for (std::size_t i = 0; i < inFlight.size(); ++i) {
-        s += csprintf("%s\"%016llx\"", i ? "," : "",
-                      static_cast<unsigned long long>(inFlight[i]));
-    }
-    s += "]";
-
-    s += csprintf(",\"mips\":%s,\"restarts\":%zu,"
-                  "\"eta_seconds\":%s,\"finished\":%s",
-                  fmtDouble(mips).c_str(), restarts,
-                  fmtDouble(sanitizeEta(etaSeconds)).c_str(),
-                  finished ? "true" : "false");
-
-    s += quantilesJson("job_latency_ms", jobLatencyMs);
-    s += quantilesJson("fsync_latency_ms", fsyncLatencyMs);
-    s += quantilesJson("restart_backoff_ms", restartBackoffMs);
-
-    if (!stages.empty()) {
-        s += ",\"stages\":[";
-        for (std::size_t i = 0; i < stages.size(); ++i) {
-            s += csprintf(
-                "%s{\"name\":\"%s\",\"seconds\":%s,\"count\":%llu}",
-                i ? "," : "", json::escape(stages[i].name).c_str(),
-                fmtDouble(stages[i].seconds).c_str(),
-                static_cast<unsigned long long>(stages[i].count));
-        }
-        s += "]";
-    }
-
-    if (!shards.empty()) {
-        s += ",\"shards\":[";
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            const ShardStatus &sh = shards[i];
-            s += csprintf(
-                "%s{\"shard\":%u,\"total\":%zu,\"done\":%zu,"
-                "\"restarts\":%u,\"helpers\":%u,\"active\":%s,"
-                "\"heartbeat_age_seconds\":%s,\"failed\":%s}",
-                i ? "," : "", sh.shard, sh.total, sh.done,
-                sh.restarts, sh.helpers, sh.active ? "true" : "false",
-                fmtDouble(sh.heartbeatAgeSeconds).c_str(),
-                sh.failed ? "true" : "false");
-        }
-        s += "]";
-    }
-
+    std::string s = csprintf("{\"schema\":\"%s\"", kStatusSchema);
+    appendFields(s, *this, kSnapshotFields);
+    appendObjects(s, "stages", stages, kStageFields);
+    appendObjects(s, "shards", shards, kShardFields);
     if (serve.present()) {
-        s += csprintf(
-            ",\"serve\":{\"requests\":%llu,\"hits\":%llu,"
-            "\"misses\":%llu,\"evictions\":%llu,\"entries\":%llu,"
-            "\"bytes\":%llu,\"qps\":%s",
-            static_cast<unsigned long long>(serve.requests),
-            static_cast<unsigned long long>(serve.hits),
-            static_cast<unsigned long long>(serve.misses),
-            static_cast<unsigned long long>(serve.evictions),
-            static_cast<unsigned long long>(serve.entries),
-            static_cast<unsigned long long>(serve.bytes),
-            fmtDouble(serve.qps).c_str());
-        s += csprintf(
-            ",\"shed_connections\":%llu,\"shed_requests\":%llu,"
-            "\"deadline_cancels\":%llu,\"compactions\":%llu",
-            static_cast<unsigned long long>(serve.shedConnections),
-            static_cast<unsigned long long>(serve.shedRequests),
-            static_cast<unsigned long long>(serve.deadlineCancels),
-            static_cast<unsigned long long>(serve.compactions));
-        s += quantilesJson("request_latency_ms",
-                           serve.requestLatencyMs);
+        s += ",\"serve\":{";
+        appendFields(s, serve, kServeFields, /*exportedOnly=*/true);
         s += "}";
     }
-
-    s += "}";
-    return s;
+    return s + "}";
 }
 
 bool
@@ -214,89 +353,24 @@ StatusSnapshot::fromJson(const std::string &text, StatusSnapshot &out)
         return false;
 
     out = StatusSnapshot();
-    out.role = doc.getString("role");
-    out.label = doc.getString("label");
-    out.pid = static_cast<int>(doc.getDouble("pid"));
-    out.updateSeq = doc.getUint64("update_seq");
-    out.uptimeSeconds = doc.getDouble("uptime_seconds");
-    out.jobsTotal = doc.getUint64("jobs_total");
-    out.jobsDone = doc.getUint64("jobs_done");
-    out.jobsOk = doc.getUint64("jobs_ok");
-    out.jobsFailed = doc.getUint64("jobs_failed");
-    out.jobsRetried = doc.getUint64("jobs_retried");
-    out.mips = doc.getDouble("mips");
-    out.restarts = doc.getUint64("restarts");
+    readFields(doc, out, kSnapshotFields);
     // Normalize on the way in too: a snapshot written by an older
     // publisher (or edited by hand) may carry an arbitrary negative
     // value; readers must not distinguish "-3" from "unknown".
-    out.etaSeconds = sanitizeEta(doc.getDouble("eta_seconds", -1));
-    out.finished = doc.getBool("finished");
-
-    if (const json::Value *arr = doc.find("in_flight");
-        arr && arr->isArray()) {
-        for (const json::Value &v : arr->elements()) {
-            if (v.isString()) {
-                out.inFlight.push_back(std::strtoull(
-                    v.asString().c_str(), nullptr, 16));
-            }
-        }
-    }
-
-    parseQuantiles(doc, "job_latency_ms", out.jobLatencyMs);
-    parseQuantiles(doc, "fsync_latency_ms", out.fsyncLatencyMs);
-    parseQuantiles(doc, "restart_backoff_ms", out.restartBackoffMs);
-
-    if (const json::Value *arr = doc.find("stages");
-        arr && arr->isArray()) {
-        for (const json::Value &v : arr->elements()) {
-            if (!v.isObject())
-                continue;
-            telemetry::StageTime st;
-            st.name = v.getString("name");
-            st.seconds = v.getDouble("seconds");
-            st.count = v.getUint64("count");
-            out.stages.push_back(std::move(st));
-        }
-    }
-
-    if (const json::Value *arr = doc.find("shards");
-        arr && arr->isArray()) {
-        for (const json::Value &v : arr->elements()) {
-            if (!v.isObject())
-                continue;
-            ShardStatus sh;
-            sh.shard = static_cast<unsigned>(v.getUint64("shard"));
-            sh.total = v.getUint64("total");
-            sh.done = v.getUint64("done");
-            sh.restarts =
-                static_cast<unsigned>(v.getUint64("restarts"));
-            sh.helpers =
-                static_cast<unsigned>(v.getUint64("helpers"));
-            sh.active = v.getBool("active");
-            sh.heartbeatAgeSeconds =
-                v.getDouble("heartbeat_age_seconds", -1);
-            sh.failed = v.getBool("failed");
-            out.shards.push_back(sh);
-        }
-    }
-
-    if (const json::Value *sv = doc.find("serve");
-        sv && sv->isObject()) {
-        out.serve.requests = sv->getUint64("requests");
-        out.serve.hits = sv->getUint64("hits");
-        out.serve.misses = sv->getUint64("misses");
-        out.serve.evictions = sv->getUint64("evictions");
-        out.serve.entries = sv->getUint64("entries");
-        out.serve.bytes = sv->getUint64("bytes");
-        out.serve.qps = sv->getDouble("qps");
-        out.serve.shedConnections = sv->getUint64("shed_connections");
-        out.serve.shedRequests = sv->getUint64("shed_requests");
-        out.serve.deadlineCancels = sv->getUint64("deadline_cancels");
-        out.serve.compactions = sv->getUint64("compactions");
-        parseQuantiles(*sv, "request_latency_ms",
-                       out.serve.requestLatencyMs);
-    }
+    out.etaSeconds = sanitizeEta(out.etaSeconds);
+    readObjects(doc, "stages", out.stages, kStageFields);
+    readObjects(doc, "shards", out.shards, kShardFields);
+    if (const json::Value *serve = doc.find("serve"))
+        readFields(*serve, out.serve, kServeFields);
     return true;
+}
+
+std::string
+ServeStats::toJson() const
+{
+    std::string s = "{\"schema\":\"powerchop-serve-stats-v1\"";
+    appendFields(s, *this, kServeFields);
+    return s + "}";
 }
 
 StatusPublisher::StatusPublisher(std::string path,
@@ -322,7 +396,7 @@ StatusPublisher::publish(StatusSnapshot snap, bool force)
         snap.uptimeSeconds = now - startedAt_;
     }
     if (snap.pid == 0)
-        snap.pid = static_cast<int>(::getpid());
+        snap.pid = static_cast<std::uint64_t>(::getpid());
     // The publisher is the single choke point every snapshot passes
     // through: clamp unstable early-run ETA estimates here so no
     // renderer ever sees a negative/Inf/NaN value.
@@ -477,8 +551,8 @@ renderStatusTable(const std::vector<StatusEntry> &entries)
         }
         for (const ShardStatus &sh : s.shards) {
             out += csprintf(
-                "%-14s   shard %04u %zu/%zu done, %u restart(s), "
-                "%u helper(s), %s%s\n",
+                "%-14s   shard %04zu %zu/%zu done, %zu restart(s), "
+                "%zu helper(s), %s%s\n",
                 "", sh.shard, sh.done, sh.total, sh.restarts,
                 sh.helpers,
                 sh.failed ? "FAILED"
@@ -547,18 +621,42 @@ class PromWriter
     std::vector<std::string> declared_;
 };
 
+/** Export obj's rows that carry a HELP text as `<prefix><key>`: a
+ *  count, real or bool as one gauge, a quantile block as three
+ *  quantile-labelled gauges plus `_samples` (none when empty). */
+template <class T>
 void
-promQuantiles(PromWriter &w, const std::string &metric,
-              const char *help, const std::string &labels,
-              const stats::Quantiles &q)
+promFields(PromWriter &w, const std::string &prefix,
+           const std::string &labels, const T &obj,
+           const Fields<T> &rows)
 {
-    if (q.samples == 0)
-        return;
-    w.gauge(metric, help, labels + ",quantile=\"0.5\"", q.p50);
-    w.gauge(metric, help, labels + ",quantile=\"0.9\"", q.p90);
-    w.gauge(metric, help, labels + ",quantile=\"0.99\"", q.p99);
-    w.gauge(metric + "_samples", "Samples behind the quantiles",
-            labels, static_cast<double>(q.samples));
+    for (const Field<T> &f : rows) {
+        if (!f.help)
+            continue;
+        const std::string metric = prefix + f.key;
+        std::visit(
+            [&](auto member) {
+                const auto &v = obj.*member;
+                using V = std::decay_t<decltype(v)>;
+                if constexpr (std::is_same_v<V, stats::Quantiles>) {
+                    if (v.samples == 0)
+                        return;
+                    w.gauge(metric, f.help, labels + ",quantile=\"0.5\"",
+                            v.p50);
+                    w.gauge(metric, f.help, labels + ",quantile=\"0.9\"",
+                            v.p90);
+                    w.gauge(metric, f.help,
+                            labels + ",quantile=\"0.99\"", v.p99);
+                    w.gauge(metric + "_samples",
+                            "Samples behind the quantiles", labels,
+                            static_cast<double>(v.samples));
+                } else if constexpr (std::is_arithmetic_v<V>) {
+                    w.gauge(metric, f.help, labels,
+                            static_cast<double>(v));
+                }
+            },
+            f.member);
+    }
 }
 
 } // namespace
@@ -582,76 +680,13 @@ renderStatusPrometheus(const std::vector<StatusEntry> &entries)
         w.gauge("powerchop_status_age_seconds",
                 "Seconds since the snapshot file was written", labels,
                 e.ageSeconds);
-        w.gauge("powerchop_jobs_total", "Jobs owned by this process",
-                labels, static_cast<double>(s.jobsTotal));
-        w.gauge("powerchop_jobs_done", "Jobs in a terminal state",
-                labels, static_cast<double>(s.jobsDone));
-        w.gauge("powerchop_jobs_failed", "Jobs that failed terminally",
-                labels, static_cast<double>(s.jobsFailed));
-        w.gauge("powerchop_jobs_retried", "Extra attempts granted",
-                labels, static_cast<double>(s.jobsRetried));
         w.gauge("powerchop_jobs_in_flight", "Jobs executing now",
                 labels, static_cast<double>(s.inFlight.size()));
-        w.gauge("powerchop_mips",
-                "Realized simulated MIPS since process start", labels,
-                s.mips);
-        w.gauge("powerchop_restarts", "Worker restarts performed",
-                labels, static_cast<double>(s.restarts));
-        w.gauge("powerchop_finished",
-                "1 when the campaign/worker has finished", labels,
-                s.finished ? 1 : 0);
-        w.gauge("powerchop_eta_seconds",
-                "Estimated seconds to completion (-1 = unknown)",
-                labels, s.etaSeconds);
+        promFields(w, "powerchop_", labels, s, kSnapshotFields);
         if (s.serve.present()) {
-            w.gauge("powerchop_serve_requests",
-                    "Requests handled by powerchopd", labels,
-                    static_cast<double>(s.serve.requests));
-            w.gauge("powerchop_serve_hits",
-                    "Result-cache key hits", labels,
-                    static_cast<double>(s.serve.hits));
-            w.gauge("powerchop_serve_misses",
-                    "Result-cache key misses (simulated fresh)",
-                    labels, static_cast<double>(s.serve.misses));
-            w.gauge("powerchop_serve_evictions",
-                    "LRU entries evicted for space", labels,
-                    static_cast<double>(s.serve.evictions));
-            w.gauge("powerchop_serve_entries",
-                    "Cache keys resident", labels,
-                    static_cast<double>(s.serve.entries));
-            w.gauge("powerchop_serve_bytes",
-                    "Cache payload bytes resident", labels,
-                    static_cast<double>(s.serve.bytes));
-            w.gauge("powerchop_serve_qps",
-                    "Requests per second since daemon start", labels,
-                    s.serve.qps);
-            w.gauge("powerchop_serve_shed_connections",
-                    "Connections shed BUSY at the accept gate",
-                    labels,
-                    static_cast<double>(s.serve.shedConnections));
-            w.gauge("powerchop_serve_shed_requests",
-                    "SIM requests shed BUSY at admission", labels,
-                    static_cast<double>(s.serve.shedRequests));
-            w.gauge("powerchop_serve_deadline_cancels",
-                    "Requests cancelled by the wall deadline",
-                    labels,
-                    static_cast<double>(s.serve.deadlineCancels));
-            w.gauge("powerchop_serve_compactions",
-                    "Cache journal compactions", labels,
-                    static_cast<double>(s.serve.compactions));
-            promQuantiles(w, "powerchop_serve_request_latency_ms",
-                          "Request wall latency quantiles (ms)",
-                          labels, s.serve.requestLatencyMs);
+            promFields(w, "powerchop_serve_", labels, s.serve,
+                       kServeFields);
         }
-        promQuantiles(w, "powerchop_job_latency_ms",
-                      "Per-job wall latency quantiles (ms)", labels,
-                      s.jobLatencyMs);
-        promQuantiles(w, "powerchop_fsync_latency_ms",
-                      "Journal append fsync latency quantiles (ms)",
-                      labels, s.fsyncLatencyMs);
-        promQuantiles(w, "powerchop_restart_backoff_ms",
-                      "Worker restart backoff quantiles (ms)", labels,
-                      s.restartBackoffMs);
     }
     return w.text();
 }

@@ -44,31 +44,51 @@ extern const char *const kStatusSchema;
 /** Per-shard health line inside a supervisor snapshot. */
 struct ShardStatus
 {
-    unsigned shard = 0;
+    std::size_t shard = 0;
     std::size_t total = 0;     ///< Keys the shard owns.
     std::size_t done = 0;      ///< Keys with terminal records.
-    unsigned restarts = 0;
-    unsigned helpers = 0;      ///< Re-dispatch helpers spawned.
+    std::size_t restarts = 0;
+    std::size_t helpers = 0;   ///< Re-dispatch helpers spawned.
     bool active = false;       ///< A worker process is running.
     double heartbeatAgeSeconds = -1; ///< Since last output; -1 n/a.
     bool failed = false;       ///< Restart budget exhausted.
 };
 
-/** Live serving-plane counters (powerchopd "server" snapshots only).
- *  All counters are cumulative since daemon start. */
+/**
+ * powerchopd's counters: every number STATS reports, filled by the
+ * server once per report. Counters are cumulative since daemon
+ * start. The "server" status snapshot carries the subset that
+ * Prometheus exports; the row table in statusboard.cc names each
+ * field once for STATS, the snapshot and the exporter.
+ */
 struct ServeStats
 {
-    std::uint64_t requests = 0;   ///< Requests handled (all verbs).
-    std::uint64_t hits = 0;       ///< Result-cache key hits.
-    std::uint64_t misses = 0;     ///< Key misses (simulated fresh).
-    std::uint64_t evictions = 0;  ///< LRU entries evicted for space.
-    std::uint64_t entries = 0;    ///< Keys resident right now.
-    std::uint64_t bytes = 0;      ///< Payload bytes resident.
-    double qps = 0;               ///< Requests / uptime.
+    double uptimeSeconds = 0;        ///< Since the daemon started.
+    std::uint64_t requests = 0;      ///< All verbs, ERR included.
+    std::uint64_t gets = 0;
+    std::uint64_t sims = 0;
+    std::uint64_t errors = 0;        ///< Requests answered ERR.
+    std::uint64_t simulatedJobs = 0; ///< Jobs executed fresh.
+    std::uint64_t hits = 0;          ///< Result-cache key hits.
+    std::uint64_t misses = 0;        ///< Key misses (simulated fresh).
+    double hitRate = 0;              ///< hits / (hits + misses).
+    std::uint64_t insertions = 0;
+    std::uint64_t evictions = 0;     ///< LRU entries evicted for space.
+    std::uint64_t entries = 0;       ///< Keys resident right now.
+    std::uint64_t bytes = 0;         ///< Payload bytes resident.
+    std::uint64_t warmStarted = 0;   ///< Cache entries from the journal.
+    double qps = 0;                  ///< Requests / uptime.
+
     std::uint64_t shedConnections = 0; ///< BUSY at the accept gate.
     std::uint64_t shedRequests = 0;    ///< BUSY at SIM admission.
-    std::uint64_t deadlineCancels = 0; ///< Wall-deadline cancels.
+    std::uint64_t deadlineCancels = 0; ///< ERR deadline answers.
+    std::uint64_t idleReaped = 0;      ///< Idle conns timed out.
+    std::uint64_t readTimeouts = 0;    ///< Mid-frame read stalls.
+    std::uint64_t acceptRetries = 0;   ///< Failed accept() calls.
+    std::uint64_t droppedInFlight = 0; ///< Force-closed at drain end.
     std::uint64_t compactions = 0;     ///< Cache journal rewrites.
+    std::uint64_t journalRecords = 0;  ///< Journal lines on disk.
+    std::uint64_t journalDeadRecords = 0; ///< Of those, dead.
 
     /** Request wall latency; rendered as `—` when samples == 0. */
     stats::Quantiles requestLatencyMs;
@@ -76,6 +96,10 @@ struct ServeStats
     /** True when any request has been counted (gates the JSON block
      *  so non-server snapshots stay byte-identical). */
     bool present() const { return requests > 0; }
+
+    /** The STATS document (`powerchop-serve-stats-v1`): every field
+     *  above, one line, no trailing newline. */
+    std::string toJson() const;
 };
 
 /** One process's published status. */
@@ -88,7 +112,7 @@ struct StatusSnapshot
     /** Display name ("campaign", "shard-0000", "shard-0001h1"). */
     std::string label;
 
-    int pid = 0;
+    std::uint64_t pid = 0;
 
     /** Publisher-assigned: monotone per publisher. @{ */
     std::uint64_t updateSeq = 0;
@@ -137,8 +161,9 @@ struct StatusSnapshot
     /** Per-shard health (supervisor snapshots only). */
     std::vector<ShardStatus> shards;
 
-    /** Serving-plane counters (powerchopd snapshots only; emitted in
-     *  the JSON only when serve.present()). */
+    /** Serving-plane counters (powerchopd snapshots only; the JSON
+     *  carries the Prometheus-exported subset, and only when
+     *  serve.present()). */
     ServeStats serve;
 
     /** Render as a single-line JSON object. */

@@ -31,6 +31,9 @@ BSPEC="--workloads $MATRIX_W --machines server --modes $MATRIX_M \
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
+# bench_serve's runner rows stay in the work dir, never in the
+# checkout's pinned BENCH_runner.json.
+export POWERCHOP_RUNNER_JSON="$WORK/runner.json"
 
 dpid=""
 ppid_proxy=""

@@ -382,7 +382,7 @@ TEST(Statusboard, PublisherGatesOnCadenceUnlessForced)
     ASSERT_TRUE(StatusSnapshot::fromJson(
         readFile(dir + "/s.json"), r));
     EXPECT_EQ(r.updateSeq, 2u) << "forced write is the one on disk";
-    EXPECT_EQ(r.pid, ::getpid());
+    EXPECT_EQ(r.pid, static_cast<std::uint64_t>(::getpid()));
 }
 
 TEST(Statusboard, ConcurrentForcedWritersNeverTearTheFile)

@@ -331,7 +331,7 @@ class ServerFixture
 
     ~ServerFixture() { stopAndJoin(); }
 
-    const ServeReport &
+    const ServeStats &
     stopAndJoin()
     {
         if (thread_.joinable()) {
@@ -358,7 +358,7 @@ class ServerFixture
     std::atomic<bool> stop_{false};
     std::unique_ptr<SimServer> server_;
     std::thread thread_;
-    ServeReport report_;
+    ServeStats report_;
 };
 
 ServeOptions
@@ -423,11 +423,11 @@ TEST(SimServer, SimMissThenHitServesIdenticalBytes)
     EXPECT_EQ(warmReply.payload, cold.payload)
         << "hits must serve byte-identical reports";
 
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.sims, 2u);
     EXPECT_EQ(rep.simulatedJobs, 2u) << "second SIM was all hits";
-    EXPECT_EQ(rep.cache.hits, 2u);
-    EXPECT_EQ(rep.cache.misses, 2u);
+    EXPECT_EQ(rep.hits, 2u);
+    EXPECT_EQ(rep.misses, 2u);
 }
 
 TEST(SimServer, ServedReportIsByteIdenticalToDirectCampaign)
@@ -523,7 +523,7 @@ TEST(SimServer, TimedOutJobIsJournaledAndResimulatedAfterRestart)
     EXPECT_NE(reply.payload.find("\"status\":\"ok\""), std::string::npos)
         << reply.payload;
     EXPECT_EQ(c.get(key).status, ResponseStatus::Hit);
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.warmStarted, 0u);
     EXPECT_EQ(rep.simulatedJobs, 1u);
 }
@@ -639,7 +639,7 @@ TEST(SimServer, BadRequestsAnswerErrAndKeepServing)
     }
 
     EXPECT_TRUE(c.stats().served()) << "connection still alive";
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.errors, 13u);
     EXPECT_EQ(rep.simulatedJobs, 0u)
         << "no bad request may reach the runner";
@@ -668,7 +668,7 @@ TEST(SimServer, WarmRestartServesHitsFromTheJournal)
         ASSERT_FALSE(warm.ioFailed);
         EXPECT_EQ(warm.status, ResponseStatus::Hit);
         EXPECT_EQ(warm.payload, cold);
-        const ServeReport &rep = server.stopAndJoin();
+        const ServeStats &rep = server.stopAndJoin();
         EXPECT_EQ(rep.warmStarted, 2u);
         EXPECT_EQ(rep.simulatedJobs, 0u);
     }
@@ -710,7 +710,7 @@ TEST(SimServer, ConcurrentClientsShareTheCache)
         t.join();
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(mismatches.load(), 0u);
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.simulatedJobs, 2u) << "only the initial misses";
 }
 
@@ -859,7 +859,7 @@ TEST(SimServer, IdleConnectionIsReaped)
         << "idle connections are closed quietly, not answered";
     ::close(fd);
 
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.idleReaped, 1u);
     EXPECT_EQ(rep.requests, 0u);
 }
@@ -892,7 +892,7 @@ TEST(SimServer, HalfFrameHitsReadDeadlineAndServingContinues)
     // The daemon itself is unharmed.
     ServeClient c = server.client();
     EXPECT_TRUE(c.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.readTimeouts, 1u);
     EXPECT_EQ(rep.idleReaped, 0u);
 }
@@ -933,7 +933,7 @@ TEST(SimServer, OverCapConnectionsAreShedWithBusy)
     ASSERT_TRUE(json::parse(stats.payload, v)) << stats.payload;
     EXPECT_EQ(v.getUint64("shed_connections"), 1u);
     EXPECT_TRUE(c2.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.shedConnections, 1u);
 }
 
@@ -975,7 +975,7 @@ TEST(SimServer, SimAdmissionQueueShedsWithBusy)
     EXPECT_EQ(other.load(), 0u);
     EXPECT_GE(ok.load(), 1u);
     EXPECT_GE(busy.load(), 1u);
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_EQ(rep.shedRequests, busy.load());
 }
 
@@ -998,7 +998,7 @@ TEST(SimServer, RequestDeadlineCancelsAnInFlightSim)
 
     // The connection survives its cancelled request.
     EXPECT_TRUE(c.stats().served());
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     EXPECT_GE(rep.deadlineCancels, 1u);
 }
 
@@ -1017,7 +1017,7 @@ TEST(SimServer, GracefulDrainFinishesInFlightRequests)
     ServeReply reply;
     std::thread inflight([&] { reply = c.sim(tinySpec()); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const ServeReport &rep = server.stopAndJoin();
+    const ServeStats &rep = server.stopAndJoin();
     inflight.join();
     ASSERT_FALSE(reply.ioFailed) << reply.error;
     EXPECT_EQ(reply.status, ResponseStatus::Ok) << reply.payload;

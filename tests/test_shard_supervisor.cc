@@ -604,6 +604,29 @@ TEST(CampaignCli, MalformedNumericFlagsAreUsageErrors)
         EXPECT_EQ(run.status.exitCode, 2) << "--get '" << key << "'";
         EXPECT_NE(run.out.find("--get"), std::string::npos) << run.out;
     }
+
+    // A flag without its value, a missing or contradictory flag and
+    // a zero --interval are usage errors too: exit 2, flag named.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        misuse = {
+            {{"campaign", dir, "--insns"}, "--insns"},
+            {{"status", dir, "--json", "--prom"}, "--prom"},
+            {{"status", dir, "--interval", "0"}, "--interval"},
+            {{"client", "--socket", dir + "/none.sock", "--get", "ab",
+              "--stats"},
+             "--stats"},
+            {{"client", "--stats"}, "--socket"},
+            {{"run", "perlbench", "--mode", "full-power", "--metrics-out",
+              dir + "/m.csv"},
+             "--metrics-out"},
+            {{"campaign-worker", dir}, "--journal"},
+        };
+    for (const auto &[args, flag] : misuse) {
+        const CliRun run = runCliCapture(args);
+        EXPECT_EQ(run.status.kind, ExitStatus::Kind::Exited) << run.out;
+        EXPECT_EQ(run.status.exitCode, 2) << args[0] << " " << flag;
+        EXPECT_NE(run.out.find(flag), std::string::npos) << run.out;
+    }
 }
 
 TEST(ShardedCampaign, WorkerRebuildsMatrixFromForwardedFlags)

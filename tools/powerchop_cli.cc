@@ -307,7 +307,8 @@ parseOptions(const std::vector<std::string> &rest)
         const std::string &opt = rest[i];
         auto need = [&]() -> const std::string & {
             if (i + 1 >= rest.size())
-                fatal("%s requires a value", opt.c_str());
+                throw UsageError(
+                    csprintf("%s requires a value", opt.c_str()));
             return rest[++i];
         };
         auto count = [&](std::uint64_t lo, std::uint64_t hi) {
@@ -374,9 +375,11 @@ parseOptions(const std::vector<std::string> &rest)
             a.follow = true;
         else if (opt == "--prom")
             a.prom = true;
-        else if (opt == "--interval")
+        else if (opt == "--interval") {
             a.intervalSeconds = real(0, kMaxDouble);
-        else if (opt == "--socket")
+            if (a.intervalSeconds == 0)
+                throw UsageError("--interval must be positive");
+        } else if (opt == "--socket")
             a.socket = need();
         else if (opt == "--port")
             a.port = static_cast<unsigned>(count(1, 65535));
@@ -562,7 +565,7 @@ cmdRun(const std::string &name, const Args &a)
         opts.trace = &trace;
     if (!a.metricsOut.empty()) {
         if (a.mode != SimMode::PowerChop)
-            fatal("--metrics-out requires --mode powerchop");
+            throw UsageError("--metrics-out requires --mode powerchop");
         opts.metrics = &metrics;
     }
 
@@ -842,7 +845,8 @@ int
 cmdStatus(const std::string &dir, const Args &a)
 {
     if (a.json && a.prom)
-        fatal("status: --json and --prom are mutually exclusive");
+        throw UsageError(
+            "status: --json and --prom are mutually exclusive");
     for (;;) {
         const std::vector<StatusEntry> entries = readStatusDir(dir);
         if (entries.empty()) {
@@ -873,8 +877,7 @@ cmdStatus(const std::string &dir, const Args &a)
         // the loop by terminating the process, which is fine — the
         // statusboard is read-only).
         std::this_thread::sleep_for(
-            std::chrono::duration<double>(
-                a.intervalSeconds > 0 ? a.intervalSeconds : 2.0));
+            std::chrono::duration<double>(a.intervalSeconds));
         std::printf("\n");
     }
 }
@@ -917,8 +920,8 @@ cmdServe(const std::string &dir, const Args &a)
     };
 
     SimServer server(sopts);
-    const ServeReport rep = server.run();
-    std::printf("powerchopd: %s\n", rep.summary().c_str());
+    const ServeStats st = server.run();
+    std::printf("powerchopd: %s\n", serveSummary(st).c_str());
     // A drained daemon exits like an interrupted campaign: 3 tells
     // a supervisor "clean but signal-initiated" (a second signal
     // hard-exits 128+sig from the handler itself).
@@ -930,9 +933,10 @@ int
 cmdClient(const Args &a)
 {
     if (a.socket.empty() && a.port == 0)
-        fatal("client requires --socket PATH or --port N");
+        throw UsageError("client requires --socket PATH or --port N");
     if (!a.get.empty() && a.statsRequest)
-        fatal("client: --get and --stats are mutually exclusive");
+        throw UsageError(
+            "client: --get and --stats are mutually exclusive");
 
     ServeClient client;
     ClientRetryPolicy policy;
@@ -1055,7 +1059,7 @@ int
 cmdCampaignWorker(const std::string &dir, const Args &a)
 {
     if (a.journal.empty())
-        fatal("campaign-worker requires --journal PATH");
+        throw UsageError("campaign-worker requires --journal PATH");
 
     // Assignment: one 16-hex content key per stdin line, EOF ends it.
     std::vector<std::uint64_t> assigned;
